@@ -23,13 +23,13 @@ from dataclasses import dataclass, replace
 
 from .core import (
     BLOCK_BYTES,
-    SCHEDULE_LEN,
     VALID_ROUNDS,
     WORDS_PER_BLOCK,
     HfParams,
+    MessageBlock,
     default_params,
+    expand,
     hash_bytes,
-    rotl32,
 )
 from .evaluator import TermSumEvaluator
 from .system import load_default_system
@@ -225,18 +225,14 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
         raise ValueError(f"rounds must be one of {VALID_ROUNDS}")
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
+    zero_chain = (0,) * 8
     weights = []
     for i in range(BLOCK_BITS):
         buf = bytearray(BLOCK_BYTES)
         buf[i // 8] ^= 1 << (7 - i % 8)
-        words = struct.unpack(f"<{WORDS_PER_BLOCK}I", bytes(buf))
-        if rule == "last":
-            w = [0, 0, *words]
-        else:
-            w = [0, *words, 0]
-        w.extend(0 for _ in range(SCHEDULE_LEN - 16))
-        for j in range(16, SCHEDULE_LEN):
-            w[j] = rotl32(w[j - 16] ^ w[j - 14] ^ w[j - 8] ^ w[j - 1], 3)
+        block = MessageBlock(words=struct.unpack(f"<{WORDS_PER_BLOCK}I", buf),
+                             is_last=(rule == "last"))
+        w = expand(block, zero_chain)
         weights.append(sum(_popcount(x) for x in w[:rounds]))
     return DiffusionReport(rounds=rounds, rule=rule,
                            per_position_weights=tuple(weights),

@@ -108,8 +108,8 @@ class HfParams:
     """Everything a hash computation depends on.
 
     `system` is any evaluator exposing ``eval_word(x: int) -> int`` for
-    64-bit inputs (CompiledSystem, TermSumEvaluator, or a raw
-    PolynomialSystem).  Instances are immutable and shareable.
+    64-bit inputs (CompiledSystem or TermSumEvaluator).  Instances are
+    immutable and shareable.
     """
 
     system: object
@@ -244,78 +244,80 @@ def expand(block: MessageBlock, chain: tuple[int, ...],
     return w
 
 
-def round_step(state: tuple[int, ...], w: int, k: int, system) -> tuple[int, ...]:
-    """One round: two polynomial injections and a rightward state shift."""
-    h0, h1, h2, h3, h4, h5, h6, h7 = state
-    ev = system.eval_word
-    t1 = (h1 + h2 + ev((h3 << 32) | h0) + k) & MASK32
-    t2 = (h4 + h5 + ev((h7 << 32) | h6) + w) & MASK32
-    return (
-        (t1 + t2) & MASK32,
-        h0, h1, h2,
-        rotl32((h3 + t1) & MASK32, 5),
-        h4, h5, h6,
-    )
-
-
 def compress(chain: tuple[int, ...], block: MessageBlock, params: HfParams) -> tuple[int, ...]:
-    """Expand one block and fold it into the chaining value (no feed-forward)."""
+    """Expand one block and fold it into the chaining value (no feed-forward).
+
+    Round j, all sums mod 2**32:
+        T1 = H1 + H2 + p(H3 || H0) + K_j
+        T2 = H4 + H5 + p(H7 || H6) + W_j
+        (H0..H7) <- (T1 + T2, H0, H1, H2, (H3 + T1) <<< 5, H4, H5, H6)
+    """
     w = expand(block, chain, params.layout)
-    ks = params.constants
-    system = params.system
-    state = chain
-    for j in range(params.rounds):
-        state = round_step(state, w[j], ks[j], system)
-    return state
+    ev = params.system.eval_word
+    h0, h1, h2, h3, h4, h5, h6, h7 = chain
+    for wj, kj in zip(w[:params.rounds], params.constants):
+        t1 = (h1 + h2 + ev((h3 << 32) | h0) + kj) & MASK32
+        t2 = (h4 + h5 + ev((h7 << 32) | h6) + wj) & MASK32
+        h0, h1, h2, h3, h4, h5, h6, h7 = (
+            (t1 + t2) & MASK32, h0, h1, h2, rotl32((h3 + t1) & MASK32, 5), h4, h5, h6)
+    return (h0, h1, h2, h3, h4, h5, h6, h7)
 
 
-def hash_bytes(message: bytes, params: HfParams | None = None) -> Digest:
-    """One-shot digest of a byte string."""
-    if params is None:
-        params = default_params()
-    chain = params.iv
-    for block in parse_blocks(pad(message, params.layout)):
-        chain = compress(chain, block, params)
-    return Digest(words=chain)
+def hash_bytes(message, params: HfParams | None = None) -> Digest:
+    """One-shot digest of a bytes-like message; ``str`` raises TypeError."""
+    return Hasher(params).update(message).finalize()
 
 
 class Hasher:
-    """Streaming interface: any chunking yields exactly the one-shot digest."""
+    """Streaming interface and the one block loop; `hash_bytes` runs on it.
+
+    Any chunking of a message yields the digest of the whole message.
+    """
 
     def __init__(self, params: HfParams | None = None):
         self.params = params if params is not None else default_params()
         self._chain = self.params.iv
-        self._buffer = bytearray()
+        self._buffer = bytearray()      # a partial block, never a whole one
         self._total_bits = 0
         self._finalized = False
 
-    def update(self, data: bytes) -> "Hasher":
+    def _absorb(self, blocks) -> None:
+        chain = self._chain
+        for block in blocks:
+            chain = compress(chain, block, self.params)
+        self._chain = chain
+
+    def update(self, data) -> "Hasher":
+        """Absorb a bytes-like chunk; ``str`` raises TypeError."""
         if self._finalized:
             raise ValueError("update after finalize")
-        self._total_bits += 8 * len(data)
-        self._buffer.extend(data)
-        # full blocks are never the final padded block: padding always
-        # appends at least 65 bits, i.e. at least one more block
-        while len(self._buffer) >= BLOCK_BYTES:
-            words = struct.unpack("<14I", bytes(self._buffer[:BLOCK_BYTES]))
-            del self._buffer[:BLOCK_BYTES]
-            self._chain = compress(self._chain, MessageBlock(words=words), self.params)
+        view = memoryview(data).cast("B")
+        self._total_bits += 8 * len(view)
+        buffer = self._buffer
+        if buffer:
+            fill = min(BLOCK_BYTES - len(buffer), len(view))
+            buffer += view[:fill]
+            view = view[fill:]
+            if len(buffer) < BLOCK_BYTES:
+                return self
+            self._absorb([MessageBlock(words=struct.unpack("<14I", buffer))])
+            buffer.clear()
+        # whole blocks here are never the final padded block: padding
+        # always appends at least 65 bits, i.e. at least one more block
+        whole = len(view) - len(view) % BLOCK_BYTES
+        self._absorb(MessageBlock(words=words)
+                     for words in struct.iter_unpack("<14I", view[:whole]))
+        buffer += view[whole:]
         return self
 
     def finalize(self) -> Digest:
         if self._finalized:
             raise ValueError("hasher already finalized")
         self._finalized = True
-        data = bytes(self._buffer) + _pad_tail(self._total_bits, self.params.layout)
+        tail = bytes(self._buffer) + _pad_tail(self._total_bits, self.params.layout)
         self._buffer.clear()
-        chain = self._chain
-        n = len(data) // BLOCK_BYTES
-        for i in range(n):
-            words = struct.unpack("<14I", data[i * BLOCK_BYTES:(i + 1) * BLOCK_BYTES])
-            block = MessageBlock(words=words, is_last=(i == n - 1))
-            chain = compress(chain, block, self.params)
-        self._chain = chain
-        return Digest(words=chain)
+        self._absorb(parse_blocks(tail))
+        return Digest(words=self._chain)
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,7 @@ class PolynomialSystem:
             word |= poly.evaluate(x) << (SYSTEM_SIZE - k)
         return word
 
-    # duck-type compatibility with the fast evaluators, so a raw system
-    # can stand in wherever a compiled one is expected (tests, tracing)
-    def eval_word(self, x: int) -> int:
-        return self.eval_reference(x)
-
+    @property
     def constant_word(self) -> int:
         """eval at x=0: the 32 constant terms packed MSB-first."""
         word = 0

@@ -55,7 +55,7 @@ def test_audit_breakdown_sums(system):
 
 def test_constant_word_frozen(system):
     # bit (32-k) of eval at zero equals the constant term of y_k
-    assert system.constant_word() == 0xDFE78646
+    assert system.constant_word == 0xDFE78646
     assert system.eval_reference(0) == 0xDFE78646
 
 
@@ -86,7 +86,7 @@ def test_blank_lines_and_comments_ignored():
         lines.append("")
     loaded = load_system("\n".join(lines))
     assert isinstance(loaded, PolynomialSystem)
-    assert loaded.constant_word() == 0xFFFFFFFF
+    assert loaded.constant_word == 0xFFFFFFFF
 
 
 def test_parse_error_reports_line_number():

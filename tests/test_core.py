@@ -23,7 +23,6 @@ from hfhash.core import (
     params_with,
     parse_blocks,
     rotl32,
-    round_step,
     self_test,
 )
 
@@ -46,6 +45,15 @@ class ZeroSystem:
     @staticmethod
     def eval_word(x):
         return 0
+
+
+def round_step(state, w, k, system):
+    """The paper's round, transcribed: the spec `compress` is checked against."""
+    h0, h1, h2, h3, h4, h5, h6, h7 = state
+    t1 = (h1 + h2 + system.eval_word((h3 << 32) | h0) + k) & MASK32
+    t2 = (h4 + h5 + system.eval_word((h7 << 32) | h6) + w) & MASK32
+    return ((t1 + t2) & MASK32, h0, h1, h2,
+            rotl32((h3 + t1) & MASK32, 5), h4, h5, h6)
 
 
 # --- padding ---------------------------------------------------------------
@@ -218,6 +226,21 @@ def test_round_matches_hand_stepped_trace(system, compiled):
     # same state frozen as literals, guarding oracle and production alike
     assert expected == (0x58DDF40D, 0x243F6A88, 0x85A308D3, 0x13198A2E,
                         0xDA94E784, 0xA4093822, 0x299F31D0, 0x082EFA98)
+
+
+@pytest.mark.parametrize("rounds", [32, 48, 64])
+@pytest.mark.parametrize("is_last", [False, True])
+def test_compress_is_the_spec_rounds(params, rounds, is_last):
+    rng = random.Random(rounds + is_last)
+    p = params_with(rounds=rounds, base=params)
+    for _ in range(3):
+        chain = tuple(rng.getrandbits(32) for _ in range(8))
+        block = MessageBlock(words=tuple(rng.getrandbits(32) for _ in range(14)),
+                             is_last=is_last)
+        state = chain
+        for w, k in zip(expand(block, chain)[:rounds], ROUND_CONSTANTS):
+            state = round_step(state, w, k, p.system)
+        assert compress(chain, block, p) == state
 
 
 # --- compression and hashing -------------------------------------------------

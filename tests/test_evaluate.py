@@ -35,7 +35,7 @@ def test_identity_system_extracts_top_word():
 
 
 def test_eval_at_zero_is_constant_word(system, compiled):
-    want = system.constant_word()
+    want = system.constant_word
     assert compiled.eval_word(0) == want
     assert TermSumEvaluator(system).eval_word(0) == want
     assert eval_batch_bitsliced(system, [0]) == [want]

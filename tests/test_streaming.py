@@ -74,3 +74,20 @@ def test_many_random_chunkings(params):
             for part in _chunked(message, cuts):
                 hasher.update(part)
             assert hasher.finalize() == want
+
+
+def test_str_input_rejected(params):
+    with pytest.raises(TypeError, match="bytes-like"):
+        hash_bytes("abc", params)
+    with pytest.raises(TypeError, match="bytes-like"):
+        Hasher(params).update("abc")
+
+
+def test_bytes_like_inputs_agree(params):
+    message = bytes(range(130))
+    want = hash_bytes(message, params)
+    assert hash_bytes(bytearray(message), params) == want
+    assert hash_bytes(memoryview(message), params) == want
+    hasher = Hasher(params)
+    hasher.update(memoryview(message)[:60]).update(bytearray(message[60:]))
+    assert hasher.finalize() == want
