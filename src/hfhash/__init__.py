@@ -34,6 +34,7 @@ from .evaluator import (
 )
 from .system import (
     ASSET_ENV_VAR,
+    AssetError,
     PolynomialSystem,
     SystemFormatError,
     load_default_system,
@@ -44,6 +45,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ASSET_ENV_VAR",
+    "AssetError",
     "BooleanPolynomial",
     "CANONICAL_LAYOUT",
     "CompiledSystem",

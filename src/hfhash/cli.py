@@ -9,7 +9,7 @@ import click
 
 from . import analysis
 from .core import BLOCK_BYTES, Hasher, params_with, self_test
-from .system import ASSET_ENV_VAR, load_default_system
+from .system import AssetError, load_default_system
 
 _ROUNDS = click.Choice(["32", "48", "64"])
 
@@ -17,7 +17,18 @@ _ROUNDS = click.Choice(["32", "48", "64"])
 _DIFFUSION_BOUNDS = {64: (">=", 165), 48: ("<", 75), 32: ("<", 75)}
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a bad polynomial asset in one line, as a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AssetError as exc:
+            click.echo(f"hfhash: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """256-bit hash built on a quadratic Boolean polynomial system.
 

@@ -6,7 +6,9 @@ Three routes with identical semantics:
   The 64-bit input splits into 8 bytes; every monomial touches at most
   two of them, so the whole map folds into 28 tables of 65536 packed
   32-bit words, one per byte pair.  An evaluation is 28 table lookups
-  XORed together.
+  XORed together, done in C by the ``_pmap`` extension (built from
+  ``_pmap.c`` on first use) or, when that cannot be built, by a Python
+  closure over the same tables.
 * ``TermSumEvaluator`` -- vectorized term-by-term summation operating
   directly on the parsed term list (one uint64 mask per term; a term is
   satisfied iff ``x & mask == mask``).  Slower, but its data layout is a
@@ -22,15 +24,69 @@ output bit 31 (MSB) is polynomial 1.
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import os
+import subprocess
+import sysconfig
 from array import array
+from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
 from .anf import NUM_VARS, SYSTEM_SIZE
 from .system import PolynomialSystem
 
+log = logging.getLogger(__name__)
+
 _BYTES = NUM_VARS // 8
 _PAIRS = tuple((t, u) for t in range(_BYTES) for u in range(t + 1, _BYTES))
+
+_PMAP_SOURCE = Path(__file__).with_name("_pmap.c")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+_COMPILER = "cc"
+
+
+@lru_cache(maxsize=None)
+def _load_pmap():
+    """The native ``_pmap`` module and how it was found, or None and why not.
+
+    The extension is built once per source version into the package's
+    ``__pycache__`` as ``_pmap-<source sha256 prefix><suffix>``, written
+    under a per-process name and renamed into place, so concurrent first
+    uses cannot load a partial file.  Never raises: without a compiler, a
+    writable cache directory or a successful build, the caller falls back
+    to the Python evaluator.
+    """
+    try:
+        digest = hashlib.sha256(_PMAP_SOURCE.read_bytes()).hexdigest()[:16]
+        target = _CACHE_DIR / f"_pmap-{digest}{EXTENSION_SUFFIXES[0]}"
+        if target.exists():
+            how = f"cached {target.name}"
+        else:
+            t0 = perf_counter()
+            _CACHE_DIR.mkdir(exist_ok=True)
+            tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run(
+                    [_COMPILER, "-O2", "-shared", "-fPIC",
+                     "-I" + sysconfig.get_paths()["include"],
+                     str(_PMAP_SOURCE), "-o", str(tmp)],
+                    check=True, capture_output=True, timeout=120)
+                os.replace(tmp, target)
+            finally:
+                tmp.unlink(missing_ok=True)
+            how = f"built {target.name} in {perf_counter() - t0:.2f} s"
+        loader = ExtensionFileLoader("hfhash._pmap", str(target))
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+    except (OSError, ImportError, subprocess.SubprocessError) as exc:
+        return None, f"native build unavailable: {exc}"
+    return module, how
 
 
 def _collect_masks(system: PolynomialSystem):
@@ -63,8 +119,10 @@ def _lsb_slot(value: int) -> int:
 class CompiledSystem:
     """Byte-pair table evaluator, oracle-equivalent to its source system.
 
-    Immutable after construction; evaluation is pure, so instances can
-    be shared freely across threads.
+    ``eval_word`` is the native ``_pmap`` method when the extension
+    loads, and the ``_bind`` closure otherwise; both read the same
+    tables.  Immutable after construction; evaluation is pure, so
+    instances can be shared freely across threads.
     """
 
     def __init__(self, tables: dict[tuple[int, int], array], term_counts: tuple[int, ...],
@@ -72,7 +130,13 @@ class CompiledSystem:
         self._tables = tables
         self.source_term_counts = term_counts
         self.constant_word = constant_word
-        self.eval_word = self._bind(tables)
+        pmap, how = _load_pmap()
+        if pmap is not None:
+            self.eval_word = pmap.Evaluator([tables[p] for p in _PAIRS]).eval_word
+            log.debug("eval_word: native _pmap evaluator (%s)", how)
+        else:
+            self.eval_word = self._bind(tables)
+            log.debug("eval_word: python closure (%s)", how)
 
     @staticmethod
     def _bind(tables):
@@ -141,7 +205,7 @@ def compile_system(system: PolynomialSystem) -> CompiledSystem:
             f ^= selfs[t][:, None]
         if (t, u) == (_BYTES - 2, _BYTES - 1):
             f ^= selfs[_BYTES - 1][None, :]
-        tables[(t, u)] = array("I", f.reshape(-1).tolist())
+        tables[(t, u)] = array("I", f.tobytes())
 
     return CompiledSystem(
         tables=tables,

@@ -31,6 +31,14 @@ class SystemFormatError(ValueError):
     """The asset does not describe a valid 32-polynomial system."""
 
 
+class AssetError(ValueError):
+    """The ``HFHASH_POLYNOMIALS`` asset could not be read or parsed.
+
+    The message is ``<path>: <reason>``; the original error is the
+    exception's ``__cause__``.
+    """
+
+
 @dataclass(frozen=True)
 class PolyAudit:
     """Shape record for one polynomial, used to pin down the shipped asset."""
@@ -117,15 +125,20 @@ def load_system(text: str) -> PolynomialSystem:
     return system
 
 
-def _asset_text() -> str:
-    override = os.environ.get(ASSET_ENV_VAR)
-    if override:
-        with open(override, encoding="utf-8") as f:
-            return f.read()
-    return resources.files("hfhash.data").joinpath("polynomials.txt").read_text("utf-8")
-
-
 @lru_cache(maxsize=None)
 def load_default_system() -> PolynomialSystem:
-    """The shipped system (or the ``HFHASH_POLYNOMIALS`` override), cached."""
-    return load_system(_asset_text())
+    """The shipped system (or the ``HFHASH_POLYNOMIALS`` override), cached.
+
+    An override that cannot be read or parsed raises AssetError.
+    """
+    override = os.environ.get(ASSET_ENV_VAR)
+    if not override:
+        return load_system(
+            resources.files("hfhash.data").joinpath("polynomials.txt").read_text("utf-8"))
+    try:
+        with open(override, encoding="utf-8") as f:
+            return load_system(f.read())
+    except OSError as exc:
+        raise AssetError(f"{override}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, PolynomialSyntaxError, SystemFormatError) as exc:
+        raise AssetError(f"{override}: {exc}") from exc

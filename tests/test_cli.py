@@ -3,8 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from hfhash import core
 from hfhash.analysis import DEFAULT_AVALANCHE_INPUT
 from hfhash.cli import main
+from hfhash.system import ASSET_ENV_VAR
 
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
 ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
@@ -170,3 +172,32 @@ def test_poly_rejects_bad_flags(runner):
     assert runner.invoke(main, ["poly", "--index", "1", "--eval",
                                 "0" * 16, "--stats"]).exit_code == 2
     assert runner.invoke(main, ["poly"]).exit_code == 2
+
+
+@pytest.fixture()
+def uncached_asset(monkeypatch):
+    # commands reach the asset through two cached loaders; bypass both so
+    # the environment variable is read again, and leave the caches intact
+    monkeypatch.setattr(core, "default_params", core.default_params.__wrapped__)
+    monkeypatch.setattr(core, "load_default_system", core.load_default_system.__wrapped__)
+
+
+def test_malformed_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+                                                 uncached_asset):
+    asset = tmp_path / "bad.txt"
+    asset.write_text("y_{1} = x_{99}\n")
+    monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
+    result = runner.invoke(main, ["sum"], input=b"a")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"hfhash: {asset}: line 1, col 9: variable index 99 outside 1..64\n"
+
+
+def test_missing_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+                                               uncached_asset):
+    asset = tmp_path / "missing.txt"
+    monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
+    result = runner.invoke(main, ["sum"], input=b"a")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"hfhash: {asset}: No such file or directory\n"

@@ -1,11 +1,23 @@
+import logging
 import random
+import shutil
+import types
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfhash.evaluator import TermSumEvaluator, compile_system, eval_batch_bitsliced
+from hfhash import evaluator
+from hfhash.core import default_params
+from hfhash.evaluator import (
+    CompiledSystem,
+    TermSumEvaluator,
+    compile_system,
+    eval_batch_bitsliced,
+)
 from hfhash.system import load_system
 
 inputs = st.integers(0, 2**64 - 1)
+EDGE_INPUTS = [0, 2**64 - 1] + [1 << i for i in range(64)]
 
 
 def _synthetic(body_for_k):
@@ -98,3 +110,67 @@ def test_outputs_are_32_bit(compiled):
     for _ in range(50):
         x = rng.getrandbits(64)
         assert 0 <= compiled.eval_word(x) <= 0xFFFFFFFF
+
+
+# The native evaluator and the Python closure read the same tables; the
+# closure is the oracle the native path is held to.
+
+def _closure(compiled):
+    return CompiledSystem._bind(compiled._tables)
+
+
+def test_default_params_use_native_eval_word():
+    if shutil.which(evaluator._COMPILER) is None:
+        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
+                    "the Python closure is the production evaluator here")
+    ev = default_params().system.eval_word
+    assert isinstance(ev, types.BuiltinMethodType)
+    assert type(ev.__self__).__name__ == "Evaluator"
+
+
+@settings(max_examples=300)
+@given(x=inputs)
+def test_native_matches_closure(compiled, x):
+    assert compiled.eval_word(x) == _closure(compiled)(x)
+
+
+def test_native_matches_closure_and_term_sum_on_edges(system, compiled):
+    closure, term_sum = _closure(compiled), _cached_term_sum(system)
+    for x in EDGE_INPUTS:
+        assert compiled.eval_word(x) == closure(x) == term_sum.eval_word(x)
+
+
+@pytest.mark.parametrize("x", [-1, 2**64])
+def test_out_of_range_input_overflows_on_both_paths(compiled, x):
+    for ev in (compiled.eval_word, _closure(compiled)):
+        with pytest.raises(OverflowError):
+            ev(x)
+
+
+@pytest.fixture()
+def fresh_loader():
+    # the loader caches its one result per process; start and end clean
+    evaluator._load_pmap.cache_clear()
+    yield
+    evaluator._load_pmap.cache_clear()
+
+
+@pytest.mark.parametrize("broken", ["no_compiler", "unwritable_cache"])
+def test_native_build_failure_falls_back_to_closure(
+        system, compiled, tmp_path, monkeypatch, caplog, fresh_loader, broken):
+    if broken == "no_compiler":
+        monkeypatch.setattr(evaluator, "_COMPILER", str(tmp_path / "no-such-cc"))
+        # an empty cache, so that the loader has to build
+        monkeypatch.setattr(evaluator, "_CACHE_DIR", tmp_path / "__pycache__")
+    else:
+        (tmp_path / "file").write_bytes(b"")
+        monkeypatch.setattr(evaluator, "_CACHE_DIR", tmp_path / "file" / "__pycache__")
+    caplog.set_level(logging.DEBUG, logger=evaluator.__name__)
+    fallback = compile_system(system)
+    records = [r for r in caplog.records if r.name == evaluator.__name__]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    assert "python closure" in records[0].getMessage()
+    assert isinstance(fallback.eval_word, types.FunctionType)
+    for x in EDGE_INPUTS:
+        assert fallback.eval_word(x) == compiled.eval_word(x)
