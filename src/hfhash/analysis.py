@@ -16,23 +16,22 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from . import core
 from .core import (
     BLOCK_BYTES,
     VALID_ROUNDS,
-    WORDS_PER_BLOCK,
     HfParams,
     MessageBlock,
     default_params,
-    expand,
     hash_bytes,
 )
-from .evaluator import TermSumEvaluator
-from .system import load_default_system
+from .evaluator import CompiledSystem, TermSumEvaluator
 
 BLOCK_BITS = 8 * BLOCK_BYTES
 DIGEST_BITS = 256
@@ -50,6 +49,10 @@ DEFAULT_BENCH_SIZES = (1_400_000, 4_840_000, 7_480_000, 12_940_000, 24_300_000)
 # largest input the pure-Python term-sum path is timed on by default;
 # above this it is skipped (roughly 75 s per megabyte)
 DEFAULT_ORACLE_CAP = 1 << 20
+
+
+# set bits of each byte value, indexed by the byte
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _popcount(x: int) -> int:
@@ -219,21 +222,26 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     produced by a one-bit message flip is independent of the chaining
     words and of the rest of the message; they are held at zero here.
     Only the first ``rounds`` schedule words are counted, since later
-    words never enter a computation with that round count.
+    words never enter a computation with that round count.  All 448
+    flips run through a single ``core.expand`` call, one array lane each.
     """
     if rounds not in VALID_ROUNDS:
         raise ValueError(f"rounds must be one of {VALID_ROUNDS}")
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
-    zero_chain = (0,) * 8
-    weights = []
-    for i in range(BLOCK_BITS):
-        buf = bytearray(BLOCK_BYTES)
-        buf[i // 8] ^= 1 << (7 - i % 8)
-        block = MessageBlock(words=struct.unpack(f"<{WORDS_PER_BLOCK}I", buf),
-                             is_last=(rule == "last"))
-        w = expand(block, zero_chain)
-        weights.append(sum(_popcount(x) for x in w[:rounds]))
+    # one lane per flip: row i of `flips` is the block with only bit i set,
+    # read as 14 little-endian words like `parse_blocks`; `expand` then
+    # runs all 448 flips at once on uint32 arrays of lanes
+    bits = np.arange(BLOCK_BITS)
+    flips = np.zeros((BLOCK_BITS, BLOCK_BYTES), dtype=np.uint8)
+    flips[bits, bits // 8] = 1 << (7 - bits % 8)
+    lanes = np.ascontiguousarray(flips.view("<u4").T, dtype=np.uint32)
+    zero_chain = (np.zeros(BLOCK_BITS, dtype=np.uint32),) * 8
+    w = core.expand(MessageBlock(words=tuple(lanes), is_last=(rule == "last")),
+                    zero_chain)
+    # bits set per byte of each lane, summed over the counted words
+    counts = np.take(_POPCOUNT8, np.stack(w[:rounds]).view(np.uint8)).sum(axis=0)
+    weights = counts.reshape(BLOCK_BITS, 4).sum(axis=1).tolist()
     return DiffusionReport(rounds=rounds, rule=rule,
                            per_position_weights=tuple(weights),
                            min_weight=min(weights), max_weight=max(weights))
@@ -326,11 +334,15 @@ def bench(sizes: tuple[int, ...] = DEFAULT_BENCH_SIZES,
     the term-sum oracle path (skipped above ``oracle_cap`` bytes, or
     entirely when the cap is 0), and hashlib SHA-256 as a baseline.
     The compiled and oracle paths must agree on every buffer they both
-    hash; a disagreement is an internal error, not a report entry.
+    hash; a disagreement is an internal error, not a report entry.  The
+    oracle evaluates the system ``params.system`` was compiled from.
     """
     if params is None:
         params = default_params()
-    oracle_params = replace(params, system=TermSumEvaluator(load_default_system()))
+    if not isinstance(params.system, CompiledSystem):
+        raise TypeError("bench times a CompiledSystem against a term-sum oracle "
+                        f"of its source; got {type(params.system).__name__}")
+    oracle_params = replace(params, system=TermSumEvaluator(params.system.source))
     entries = []
     for size in sizes:
         data = random.Random(size).randbytes(size)

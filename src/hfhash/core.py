@@ -228,6 +228,10 @@ def expand(block: MessageBlock, chain: tuple[int, ...],
     message words; the final padded block moves both chain words to the
     front so the encoded message length stays at the very end of the
     16-word prefix.
+
+    Words may also be numpy ``uint32`` arrays of equal shape, the chain
+    words included: the recurrence then runs lane by lane and returns a
+    list of 64 such arrays.
     """
     if block.is_last:
         if layout.last_block_map == "literal":

@@ -30,6 +30,7 @@ import os
 import subprocess
 import sysconfig
 from array import array
+from contextlib import suppress
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -58,7 +59,9 @@ def _load_pmap():
     The extension is built once per source version into the package's
     ``__pycache__`` as ``_pmap-<source sha256 prefix><suffix>``, written
     under a per-process name and renamed into place, so concurrent first
-    uses cannot load a partial file.  Never raises: without a compiler, a
+    uses cannot load a partial file.  A new build removes the builds of
+    other source versions for this interpreter; a process that has one
+    loaded keeps its mapping.  Never raises: without a compiler, a
     writable cache directory or a successful build, the caller falls back
     to the Python evaluator.
     """
@@ -81,6 +84,10 @@ def _load_pmap():
             finally:
                 tmp.unlink(missing_ok=True)
             how = f"built {target.name} in {perf_counter() - t0:.2f} s"
+            for stale in _CACHE_DIR.glob(f"_pmap-*{EXTENSION_SUFFIXES[0]}"):
+                if stale != target:
+                    with suppress(OSError):
+                        stale.unlink()
         loader = ExtensionFileLoader("hfhash._pmap", str(target))
         module = module_from_spec(spec_from_loader(loader.name, loader))
         loader.exec_module(module)
@@ -121,14 +128,17 @@ class CompiledSystem:
 
     ``eval_word`` is the native ``_pmap`` method when the extension
     loads, and the ``_bind`` closure otherwise; both read the same
-    tables.  Immutable after construction; evaluation is pure, so
-    instances can be shared freely across threads.
+    tables.  ``source`` is the system the tables were compiled from, so
+    that an oracle of the same map can be built.  Immutable after
+    construction; evaluation is pure, so instances can be shared freely
+    across threads.
     """
 
-    def __init__(self, tables: dict[tuple[int, int], array], term_counts: tuple[int, ...],
+    def __init__(self, tables: dict[tuple[int, int], array], source: PolynomialSystem,
                  constant_word: int):
         self._tables = tables
-        self.source_term_counts = term_counts
+        self.source = source
+        self.source_term_counts = tuple(p.term_count for p in source.polys)
         self.constant_word = constant_word
         pmap, how = _load_pmap()
         if pmap is not None:
@@ -207,11 +217,7 @@ def compile_system(system: PolynomialSystem) -> CompiledSystem:
             f ^= selfs[_BYTES - 1][None, :]
         tables[(t, u)] = array("I", f.tobytes())
 
-    return CompiledSystem(
-        tables=tables,
-        term_counts=tuple(p.term_count for p in system.polys),
-        constant_word=const,
-    )
+    return CompiledSystem(tables=tables, source=system, constant_word=const)
 
 
 class TermSumEvaluator:

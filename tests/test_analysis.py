@@ -1,7 +1,11 @@
+import hashlib
+import json
 import random
+import struct
 
 import pytest
 
+from hfhash import core
 from hfhash.analysis import (
     BUCKET_RADII,
     DEFAULT_AVALANCHE_INPUT,
@@ -11,7 +15,9 @@ from hfhash.analysis import (
     bench,
     diffusion,
 )
-from hfhash.core import MessageBlock, expand, hash_bytes, parse_blocks
+from hfhash.core import HfParams, MessageBlock, expand, hash_bytes, parse_blocks
+from hfhash.evaluator import TermSumEvaluator, compile_system
+from hfhash.system import load_system
 
 
 def test_default_input_is_one_block():
@@ -86,6 +92,59 @@ def test_mode_ties_break_toward_smaller():
 
 
 # --- diffusion ---------------------------------------------------------------
+
+# SHA-256 of json.dumps(report.to_dict(), sort_keys=True), pinned from the
+# one-flip-at-a-time implementation that the lane-parallel one replaced
+DIFFUSION_REPORT_SHA256 = {
+    (32, "non-last"): "639f2221bafb35d60be0e09c0716e9a4cb70aad1907a548b005c8286cbac41a4",
+    (32, "last"): "0281ff5a0d3590442c1df467d79c18d877bd4a114ec317a57b924e64bcdfe6cf",
+    (48, "non-last"): "2bb88339114c09ce453062a95efb61c7b363c321ad667eca2e7a51ed79c292fd",
+    (48, "last"): "06aabdd34854d8be0d32012300aa681bcc5c9b9e3f05064f9c0291338879fb34",
+    (64, "non-last"): "d49ccd402561aa578ab900dafbf538aad11a222cd89eeab635564b503f35d29c",
+    (64, "last"): "7030f7417032ac8725a85987a7bf6b0fc5307bc05454934d7c3fa10f21bc2b7c",
+}
+
+
+def diffusion_weights_spec(rounds, rule):
+    """Per-flip schedule weights, one scalar `expand` call per flip."""
+    weights = []
+    for i in range(448):
+        buf = bytearray(56)
+        buf[i // 8] ^= 1 << (7 - i % 8)
+        block = MessageBlock(words=struct.unpack("<14I", buf), is_last=(rule == "last"))
+        w = expand(block, (0,) * 8)
+        weights.append(sum(bin(x).count("1") for x in w[:rounds]))
+    return weights
+
+
+@pytest.mark.parametrize("rule", ["non-last", "last"])
+@pytest.mark.parametrize("rounds", [32, 48, 64])
+def test_diffusion_matches_scalar_spec(rounds, rule):
+    report = diffusion(rounds=rounds, rule=rule)
+    spec = diffusion_weights_spec(rounds, rule)
+    assert list(report.per_position_weights) == spec
+    assert (report.min_weight, report.max_weight) == (min(spec), max(spec))
+
+
+@pytest.mark.parametrize("rounds, rule", sorted(DIFFUSION_REPORT_SHA256))
+def test_diffusion_reports_pinned(rounds, rule):
+    report = diffusion(rounds=rounds, rule=rule)
+    assert all(type(w) is int for w in report.per_position_weights)
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIFFUSION_REPORT_SHA256[rounds, rule]
+
+
+def test_diffusion_is_one_expand_call_through_the_module(monkeypatch):
+    calls = []
+    original = core.expand
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(core, "expand", counting)
+    diffusion(rounds=48, rule="last")
+    assert len(calls) == 1
 
 def test_diffusion_frozen_extremes():
     # pure GF(2) computation: these integers are exact, not statistical
@@ -166,6 +225,30 @@ def test_bench_smoke(params):
     d = report.to_dict()
     assert [e["size"] for e in d["entries"]] == [600, 2000]
     assert "sha256" in report.format_text()
+
+
+def _identity_params():
+    # y_k = x_k: any system other than the shipped one
+    system = load_system("\n".join(f"y_{{{k}}} = x_{{{k}}}" for k in range(1, 33)))
+    return HfParams(system=compile_system(system))
+
+
+def test_bench_oracle_uses_the_compiled_source_system():
+    report = bench(sizes=(100,), params=_identity_params())
+    assert report.entries[0].oracle_seconds is not None
+
+
+def test_bench_still_catches_an_oracle_disagreement(monkeypatch):
+    original = TermSumEvaluator.eval_word
+    monkeypatch.setattr(TermSumEvaluator, "eval_word",
+                        lambda self, x: original(self, x) ^ 1)
+    with pytest.raises(AssertionError, match="disagree"):
+        bench(sizes=(100,), params=_identity_params())
+
+
+def test_bench_needs_a_compiled_system(system):
+    with pytest.raises(TypeError, match="CompiledSystem"):
+        bench(sizes=(100,), params=HfParams(system=TermSumEvaluator(system)))
 
 
 def test_bench_oracle_skipped_above_cap(params):

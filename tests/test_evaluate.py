@@ -174,3 +174,17 @@ def test_native_build_failure_falls_back_to_closure(
     assert isinstance(fallback.eval_word, types.FunctionType)
     for x in EDGE_INPUTS:
         assert fallback.eval_word(x) == compiled.eval_word(x)
+
+
+def test_new_build_prunes_stale_builds(tmp_path, monkeypatch, fresh_loader):
+    if shutil.which(evaluator._COMPILER) is None:
+        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: nothing is built")
+    suffix = evaluator.EXTENSION_SUFFIXES[0]
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    (cache / f"_pmap-0000000000000000{suffix}").write_bytes(b"stale")
+    monkeypatch.setattr(evaluator, "_CACHE_DIR", cache)
+    module, how = evaluator._load_pmap()
+    assert module is not None, how
+    assert how.startswith("built ")
+    assert [p.name for p in cache.iterdir()] == [how.split()[1]]
