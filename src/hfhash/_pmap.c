@@ -1,10 +1,10 @@
 /* Native `eval_word` over the 28 byte-pair tables of `compile_system`.
  *
- * `Evaluator(tables)` takes the 65536-word `array('I')` tables in
- * `evaluator._PAIRS` order and holds a buffer view on each, so nothing is
- * copied and the arrays cannot be resized while it lives.  The closure in
- * `CompiledSystem._bind` is the reference; `evaluator._load_pmap` builds
- * this file on first use.
+ * `Evaluator(tables)` takes the one C-contiguous buffer of 28 x 65536
+ * native uint32 words, the tables in `evaluator._PAIRS` order, and holds
+ * a single buffer view on it, so nothing is copied and the buffer cannot
+ * be resized while it lives.  The closure in `CompiledSystem._bind` is
+ * the reference; `evaluator._load_pmap` builds this file on first use.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -15,16 +15,13 @@
 
 typedef struct {
     PyObject_HEAD
-    Py_ssize_t held;                  /* views acquired so far */
-    Py_buffer views[NPAIRS];
-    const uint32_t *tables[NPAIRS];
+    Py_buffer view;                   /* view.obj is NULL until acquired */
 } Evaluator;
 
 static void
 Evaluator_dealloc(Evaluator *self)
 {
-    for (Py_ssize_t i = 0; i < self->held; i++)
-        PyBuffer_Release(&self->views[i]);
+    PyBuffer_Release(&self->view);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -32,43 +29,25 @@ static PyObject *
 Evaluator_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"tables", NULL};
-    PyObject *arg, *seq;
+    PyObject *arg;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:Evaluator", kwlist, &arg))
         return NULL;
-    seq = PySequence_Fast(arg, "Evaluator() takes a sequence of tables");
-    if (seq == NULL)
-        return NULL;
-    if (PySequence_Fast_GET_SIZE(seq) != NPAIRS) {
-        PyErr_Format(PyExc_ValueError, "expected %d tables, got %zd",
-                     NPAIRS, PySequence_Fast_GET_SIZE(seq));
-        Py_DECREF(seq);
-        return NULL;
-    }
     Evaluator *self = (Evaluator *)type->tp_alloc(type, 0);
-    if (self == NULL) {
-        Py_DECREF(seq);
+    if (self == NULL)
+        return NULL;
+    Py_buffer *view = &self->view;
+    if (PyObject_GetBuffer(arg, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        Py_DECREF(self);
         return NULL;
     }
-    for (Py_ssize_t i = 0; i < NPAIRS; i++) {
-        Py_buffer *view = &self->views[i];
-        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(seq, i), view,
-                               PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-            goto fail;
-        self->held = i + 1;
-        if (view->itemsize != 4 || strcmp(view->format, "I") != 0 ||
-            view->len != 4 * TABLE_WORDS) {
-            PyErr_Format(PyExc_ValueError,
-                         "table %zd is not %d native uint32 words", i, TABLE_WORDS);
-            goto fail;
-        }
-        self->tables[i] = (const uint32_t *)view->buf;
+    if (view->itemsize != 4 || strcmp(view->format, "I") != 0 ||
+        view->len != 4 * NPAIRS * TABLE_WORDS) {
+        PyErr_Format(PyExc_ValueError,
+                     "tables are not %d x %d native uint32 words", NPAIRS, TABLE_WORDS);
+        Py_DECREF(self);
+        return NULL;
     }
-    Py_DECREF(seq);
     return (PyObject *)self;
-fail:
-    Py_DECREF(seq);
-    Py_DECREF(self);
-    return NULL;
 }
 
 static PyObject *
@@ -86,11 +65,11 @@ Evaluator_eval_word(Evaluator *self, PyObject *arg)
     unsigned int b[8];
     for (int i = 0; i < 8; i++)
         b[i] = (unsigned int)(x >> (56 - 8 * i)) & 0xFF;
-    const uint32_t *const *t = self->tables;
+    const uint32_t *t = self->view.buf;
     uint32_t acc = 0;
-    for (int i = 0, k = 0; i < 7; i++)
-        for (int j = i + 1; j < 8; j++, k++)
-            acc ^= t[k][b[i] << 8 | b[j]];
+    for (int i = 0; i < 7; i++)
+        for (int j = i + 1; j < 8; j++, t += TABLE_WORDS)
+            acc ^= t[b[i] << 8 | b[j]];
     return PyLong_FromUnsignedLong(acc);
 }
 

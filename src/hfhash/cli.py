@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import click
@@ -12,6 +13,7 @@ from .core import BLOCK_BYTES, Hasher, params_with, self_test
 from .system import AssetError, load_default_system
 
 _ROUNDS = click.Choice(["32", "48", "64"])
+_HEX16 = re.compile("[0-9a-fA-F]{16}")
 
 # thresholds the non-last-rule diffusion experiment is expected to meet
 _DIFFUSION_BOUNDS = {64: (">=", 165), 48: ("<", 75), 32: ("<", 75)}
@@ -184,14 +186,10 @@ def cmd_poly(index, eval_hex, stats, as_json):
     system = load_default_system()
     poly = system.polys[index - 1]
     if eval_hex is not None:
-        if len(eval_hex) != 16:
+        if not _HEX16.fullmatch(eval_hex):
             raise click.BadParameter("need exactly 16 hex digits",
                                      param_hint="--eval")
-        try:
-            x = int(eval_hex, 16)
-        except ValueError:
-            raise click.BadParameter("not hexadecimal",
-                                     param_hint="--eval")
+        x = int(eval_hex, 16)
         bit = poly.evaluate(x)
         if as_json:
             click.echo(json.dumps({"index": index, "input": eval_hex,

@@ -113,17 +113,10 @@ class HfParams:
     """
 
     system: object
-    iv: tuple[int, ...] = IV
-    constants: tuple[int, ...] = ROUND_CONSTANTS
     rounds: int = 64
     layout: LayoutConfig = field(default_factory=lambda: CANONICAL_LAYOUT)
 
     def __post_init__(self):
-        if len(self.iv) != 8 or any(not 0 <= w <= MASK32 for w in self.iv):
-            raise ValueError("iv must be 8 32-bit words")
-        if len(self.constants) != SCHEDULE_LEN or any(
-                not 0 <= w <= MASK32 for w in self.constants):
-            raise ValueError(f"constants must be {SCHEDULE_LEN} 32-bit words")
         if self.rounds not in VALID_ROUNDS:
             raise ValueError(f"rounds must be one of {VALID_ROUNDS}")
 
@@ -259,7 +252,7 @@ def compress(chain: tuple[int, ...], block: MessageBlock, params: HfParams) -> t
     w = expand(block, chain, params.layout)
     ev = params.system.eval_word
     h0, h1, h2, h3, h4, h5, h6, h7 = chain
-    for wj, kj in zip(w[:params.rounds], params.constants):
+    for wj, kj in zip(w[:params.rounds], ROUND_CONSTANTS):
         t1 = (h1 + h2 + ev((h3 << 32) | h0) + kj) & MASK32
         t2 = (h4 + h5 + ev((h7 << 32) | h6) + wj) & MASK32
         h0, h1, h2, h3, h4, h5, h6, h7 = (
@@ -280,7 +273,7 @@ class Hasher:
 
     def __init__(self, params: HfParams | None = None):
         self.params = params if params is not None else default_params()
-        self._chain = self.params.iv
+        self._chain = IV
         self._buffer = bytearray()      # a partial block, never a whole one
         self._total_bits = 0
         self._finalized = False

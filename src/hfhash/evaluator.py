@@ -5,10 +5,13 @@ Three routes with identical semantics:
 * ``CompiledSystem`` -- byte-pair lookup tables, the production path.
   The 64-bit input splits into 8 bytes; every monomial touches at most
   two of them, so the whole map folds into 28 tables of 65536 packed
-  32-bit words, one per byte pair.  An evaluation is 28 table lookups
-  XORed together, done in C by the ``_pmap`` extension (built from
-  ``_pmap.c`` on first use) or, when that cannot be built, by a Python
-  closure over the same tables.
+  32-bit words, one per byte pair, held in one contiguous
+  ``(28, 256, 256)`` uint32 buffer.  Each table is a bilinear form over
+  its two bytes, built by one routine, ``_bilinear``.  An evaluation is
+  28 table lookups XORed together, done in C by the ``_pmap`` extension
+  (built from ``_pmap.c`` on first use, holding one view on the buffer)
+  or, when that cannot be built, by a Python closure over the same
+  buffer.
 * ``TermSumEvaluator`` -- vectorized term-by-term summation operating
   directly on the parsed term list (one uint64 mask per term; a term is
   satisfied iff ``x & mask == mask``).  Slower, but its data layout is a
@@ -29,7 +32,6 @@ import logging
 import os
 import subprocess
 import sysconfig
-from array import array
 from contextlib import suppress
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -97,52 +99,58 @@ def _load_pmap():
 
 
 def _collect_masks(system: PolynomialSystem):
-    """Merge the 32 term sets into per-monomial 32-bit output masks."""
-    quad: dict[tuple[int, int], int] = {}
-    lin: dict[int, int] = {}
+    """Merge the 32 term sets into one 64x64 matrix of 32-bit output masks.
+
+    ``x_i x_j`` (i < j) lands in ``m[i-1, j-1]`` and ``x_i`` in
+    ``m[i-1, i-1]``; the constant terms form the returned word.
+    """
+    m = [[0] * NUM_VARS for _ in range(NUM_VARS)]
     const = 0
     for k, poly in enumerate(system.polys, start=1):
         out_bit = 1 << (SYSTEM_SIZE - k)
         for term in poly.terms:
-            if term.degree == 2:
-                quad[term.vars] = quad.get(term.vars, 0) ^ out_bit
-            elif term.degree == 1:
-                lin[term.vars[0]] = lin.get(term.vars[0], 0) ^ out_bit
+            if term.vars:
+                m[term.vars[0] - 1][term.vars[-1] - 1] ^= out_bit
             else:
                 const ^= out_bit
-    return quad, lin, const
+    return np.array(m, dtype=np.uint32), const
 
 
-def _var_of(byte_index: int, slot: int) -> int:
-    # slot 0 is the byte's most significant bit, i.e. its lowest variable
-    return 8 * byte_index + slot + 1
+def _bilinear(mask: np.ndarray) -> np.ndarray:
+    """The (256, 256) table ``f[a, b]``: XOR of ``mask[s, r]`` over the set
+    bits of ``a`` and ``b``, slot 0 being a byte's most significant bit.
 
-
-def _lsb_slot(value: int) -> int:
-    # slot of the lowest set bit of a byte value
-    return 7 - ((value & -value).bit_length() - 1)
+    Built by doubling over the 8 bits of each index byte in turn.
+    """
+    g = np.zeros((8, 256), dtype=np.uint32)
+    for k in range(8):
+        g[:, 1 << k:2 << k] = g[:, :1 << k] ^ mask[:, 7 - k, None]
+    f = np.zeros((256, 256), dtype=np.uint32)
+    for k in range(8):
+        f[1 << k:2 << k] = f[:1 << k] ^ g[7 - k]
+    return f
 
 
 class CompiledSystem:
     """Byte-pair table evaluator, oracle-equivalent to its source system.
 
-    ``eval_word`` is the native ``_pmap`` method when the extension
-    loads, and the ``_bind`` closure otherwise; both read the same
-    tables.  ``source`` is the system the tables were compiled from, so
-    that an oracle of the same map can be built.  Immutable after
+    ``tables`` is one C-contiguous ``(28, 256, 256)`` uint32 buffer, the
+    table of pair ``_PAIRS[k]`` at ``tables[k]``, indexed by the pair's
+    two input bytes.  ``eval_word`` is the native ``_pmap`` method when
+    the extension loads, and the ``_bind`` closure otherwise; both read
+    that buffer.  ``source`` is the system the tables were compiled from,
+    so that an oracle of the same map can be built.  Immutable after
     construction; evaluation is pure, so instances can be shared freely
     across threads.
     """
 
-    def __init__(self, tables: dict[tuple[int, int], array], source: PolynomialSystem,
-                 constant_word: int):
+    def __init__(self, tables: np.ndarray, source: PolynomialSystem, constant_word: int):
         self._tables = tables
         self.source = source
-        self.source_term_counts = tuple(p.term_count for p in source.polys)
         self.constant_word = constant_word
         pmap, how = _load_pmap()
         if pmap is not None:
-            self.eval_word = pmap.Evaluator([tables[p] for p in _PAIRS]).eval_word
+            self.eval_word = pmap.Evaluator(tables).eval_word
             log.debug("eval_word: native _pmap evaluator (%s)", how)
         else:
             self.eval_word = self._bind(tables)
@@ -150,13 +158,14 @@ class CompiledSystem:
 
     @staticmethod
     def _bind(tables):
+        words = memoryview(tables).cast("B").cast("I")
         (c01, c02, c03, c04, c05, c06, c07,
          c12, c13, c14, c15, c16, c17,
          c23, c24, c25, c26, c27,
          c34, c35, c36, c37,
          c45, c46, c47,
          c56, c57,
-         c67) = (tables[p] for p in _PAIRS)
+         c67) = (words[k << 16:(k + 1) << 16] for k in range(len(_PAIRS)))
 
         def eval_word(x: int) -> int:
             b = x.to_bytes(8, "big")
@@ -179,44 +188,23 @@ class CompiledSystem:
 
 def compile_system(system: PolynomialSystem) -> CompiledSystem:
     """Precompute the byte-pair tables.  Deterministic in the system."""
-    quad, lin, const = _collect_masks(system)
-
-    # per-byte tables: within-byte pairs plus linear terms; constants in byte 0
-    selfs = []
-    for t in range(_BYTES):
-        tab = np.zeros(256, dtype=np.uint32)
-        for a in range(256):
-            acc = 0
-            vs = [_var_of(t, s) for s in range(8) if (a >> (7 - s)) & 1]
-            for pos, vi in enumerate(vs):
-                acc ^= lin.get(vi, 0)
-                for vj in vs[pos + 1:]:
-                    acc ^= quad.get((vi, vj), 0)
-            tab[a] = acc
-        selfs.append(tab)
-    selfs[0] ^= np.uint32(const)
-
-    # cross-byte pair tables, built by subset doubling over each index byte;
-    # the per-byte tables fold into a neighbouring pair table so that the
-    # final evaluation is nothing but the 28 pair lookups
-    tables = {}
-    for t, u in _PAIRS:
-        pair_mask = [[quad.get((_var_of(t, si), _var_of(u, sj)), 0) for sj in range(8)]
-                     for si in range(8)]
-        g = np.zeros((8, 256), dtype=np.uint32)
-        for si in range(8):
-            row, masks = g[si], pair_mask[si]
-            for bv in range(1, 256):
-                row[bv] = row[bv & (bv - 1)] ^ masks[_lsb_slot(bv)]
-        f = np.zeros((256, 256), dtype=np.uint32)
-        for av in range(1, 256):
-            np.bitwise_xor(f[av & (av - 1)], g[_lsb_slot(av)], out=f[av])
+    masks, const = _collect_masks(system)
+    blocks = masks.reshape(_BYTES, 8, _BYTES, 8)
+    # a per-byte table (within-byte pairs and linear terms) is the diagonal
+    # of that byte's bilinear table; it folds into a neighbouring pair table,
+    # and the constant into the first, so that the final evaluation is
+    # nothing but the 28 pair lookups (copied, as a diagonal view would keep
+    # its whole 256x256 base alive)
+    selfs = [np.diagonal(_bilinear(blocks[t, :, t])).copy() for t in range(_BYTES)]
+    tables = np.empty((len(_PAIRS), 256, 256), dtype=np.uint32)
+    for f, (t, u) in zip(tables, _PAIRS):
+        f[...] = _bilinear(blocks[t, :, u])
         if u == t + 1:
             f ^= selfs[t][:, None]
-        if (t, u) == (_BYTES - 2, _BYTES - 1):
-            f ^= selfs[_BYTES - 1][None, :]
-        tables[(t, u)] = array("I", f.tobytes())
-
+        if (t, u) == _PAIRS[-1]:
+            f ^= selfs[u][None, :]
+    tables[0] ^= np.uint32(const)
+    tables.flags.writeable = False
     return CompiledSystem(tables=tables, source=system, constant_word=const)
 
 
@@ -247,7 +235,6 @@ class TermSumEvaluator:
         self._masks = np.asarray(masks, dtype=np.uint64)
         self._starts = np.asarray(starts, dtype=np.int64)
         self.constant_word = const_word
-        self.source_term_counts = tuple(p.term_count for p in system.polys)
 
     def eval_word(self, x: int) -> int:
         satisfied = (np.uint64(x) & self._masks) == self._masks
@@ -261,11 +248,14 @@ def eval_batch_bitsliced(system: PolynomialSystem, inputs: list[int]) -> list[in
 
     Transposes the inputs into one big integer per variable, then XORs
     term products across the whole batch in single big-int operations.
-    Returns one assembled 32-bit word per input.
+    Returns one assembled 32-bit word per input; an input outside
+    ``[0, 2**64)`` raises OverflowError, as on the other paths.
     """
     n = len(inputs)
     cols = [0] * (NUM_VARS + 1)
     for pos, x in enumerate(inputs):
+        if not 0 <= x < 1 << NUM_VARS:
+            raise OverflowError(f"input {x} outside [0, 2**{NUM_VARS})")
         bit = 1 << pos
         v = NUM_VARS
         while x:

@@ -167,8 +167,10 @@ def test_poly_stats(runner):
 
 def test_poly_rejects_bad_flags(runner):
     assert runner.invoke(main, ["poly", "--index", "40"]).exit_code == 2
-    assert runner.invoke(main, ["poly", "--index", "1",
-                                "--eval", "xyz"]).exit_code == 2
+    for bad in ["xyz", "-000000000000001", "+000000000000001", "0x00000000000001",
+                "0000_0000_0000_1", " 00000000000001 "]:
+        assert runner.invoke(main, ["poly", "--index", "1",
+                                    f"--eval={bad}"]).exit_code == 2, bad
     assert runner.invoke(main, ["poly", "--index", "1", "--eval",
                                 "0" * 16, "--stats"]).exit_code == 2
     assert runner.invoke(main, ["poly"]).exit_code == 2

@@ -1,8 +1,11 @@
 import logging
 import random
 import shutil
+import subprocess
+import sysconfig
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,8 +104,9 @@ def test_compile_is_deterministic(system):
         assert a.eval_word(x) == b.eval_word(x)
 
 
-def test_compiled_keeps_source_term_counts(system, compiled):
-    assert compiled.source_term_counts == tuple(p.term_count for p in system.polys)
+def test_compiled_keeps_source_system(system, compiled):
+    # analysis.bench builds its term-sum oracle from it
+    assert compiled.source is system
 
 
 def test_outputs_are_32_bit(compiled):
@@ -141,10 +145,40 @@ def test_native_matches_closure_and_term_sum_on_edges(system, compiled):
 
 
 @pytest.mark.parametrize("x", [-1, 2**64])
-def test_out_of_range_input_overflows_on_both_paths(compiled, x):
-    for ev in (compiled.eval_word, _closure(compiled)):
+def test_out_of_range_input_overflows_on_both_paths(system, compiled, x):
+    for ev in (compiled.eval_word, _closure(compiled), _cached_term_sum(system).eval_word,
+               lambda v: eval_batch_bitsliced(system, [v])):
         with pytest.raises(OverflowError):
             ev(x)
+
+
+def _need_compiler():
+    if shutil.which(evaluator._COMPILER) is None:
+        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: nothing is built")
+
+
+@pytest.mark.parametrize("dtype, count", [
+    (np.uint32, 28 * 65536 - 1),
+    (np.uint32, 29 * 65536),
+    (np.float32, 28 * 65536),
+    (np.float64, 14 * 65536),
+    (np.uint64, 14 * 65536),
+], ids=["short", "long", "float32", "float64", "uint64"])
+def test_native_evaluator_rejects_a_wrong_buffer(dtype, count):
+    _need_compiler()
+    module, how = evaluator._load_pmap()
+    assert module is not None, how
+    with pytest.raises(ValueError, match="uint32"):
+        module.Evaluator(np.zeros(count, dtype=dtype))
+
+
+def test_native_source_compiles_without_warnings():
+    _need_compiler()
+    result = subprocess.run(
+        [evaluator._COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         "-I" + sysconfig.get_paths()["include"], str(evaluator._PMAP_SOURCE)],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.fixture()
@@ -177,8 +211,7 @@ def test_native_build_failure_falls_back_to_closure(
 
 
 def test_new_build_prunes_stale_builds(tmp_path, monkeypatch, fresh_loader):
-    if shutil.which(evaluator._COMPILER) is None:
-        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: nothing is built")
+    _need_compiler()
     suffix = evaluator.EXTENSION_SUFFIXES[0]
     cache = tmp_path / "__pycache__"
     cache.mkdir()
