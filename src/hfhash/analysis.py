@@ -25,9 +25,9 @@ import numpy as np
 from . import core
 from .core import (
     BLOCK_BYTES,
-    VALID_ROUNDS,
     HfParams,
     MessageBlock,
+    check_rounds,
     default_params,
     hash_bytes,
 )
@@ -52,11 +52,7 @@ DEFAULT_ORACLE_CAP = 1 << 20
 
 
 # set bits of each byte value, indexed by the byte
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+_POPCOUNT8 = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def avalanche(message: bytes = DEFAULT_AVALANCHE_INPUT,
         flipped = bytearray(message)
         flipped[i // 8] ^= 1 << (7 - i % 8)
         words = hash_bytes(bytes(flipped), params).words
-        per_word = tuple(_popcount(a ^ b)
+        per_word = tuple((a ^ b).bit_count()
                          for a, b in zip(base.words, words))
         flips.append(FlipResult(position=i + 1,
                                 digest_distance=sum(per_word),
@@ -225,8 +221,7 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     words never enter a computation with that round count.  All 448
     flips run through a single ``core.expand`` call, one array lane each.
     """
-    if rounds not in VALID_ROUNDS:
-        raise ValueError(f"rounds must be one of {VALID_ROUNDS}")
+    check_rounds(rounds)
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
     # one lane per flip: row i of `flips` is the block with only bit i set,

@@ -2,9 +2,12 @@
 
 The compression map of HF-hash is built from 32 quadratic GF(2)
 polynomials.  This module knows how to parse them from their text form,
-validate them, and evaluate them term by term.  The term-by-term
-evaluator here is deliberately simple: it is the correctness oracle that
-the optimized evaluator (see `evaluator`) is checked against.
+validate them, and evaluate them term by term.  `Monomial` is the one
+validator of a term (variable range, repeats, order); the parser only
+splits the text and reports its errors at the term's column.  The
+term-by-term evaluator here is deliberately simple: it is the
+correctness oracle that the optimized evaluator (see `evaluator`) is
+checked against.
 
 Bit convention: for a 64-bit input word x, variable x_1 is the MOST
 significant bit and x_64 the least significant one.
@@ -13,14 +16,13 @@ significant bit and x_64 the least significant one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 NUM_VARS = 64
 SYSTEM_SIZE = 32
 
 _PREFIX_RE = re.compile(r"^y_\{(\d+)\}\s*=\s*")
-_QUAD_RE = re.compile(r"^x_\{(\d+)\}x_\{(\d+)\}$")
-_LIN_RE = re.compile(r"^x_\{(\d+)\}$")
+_TERM_RE = re.compile(r"x_\{(\d+)\}(?:x_\{(\d+)\})?")
 _FACTOR_RE = re.compile(r"x_\{(\d+)\}")
 
 
@@ -54,8 +56,12 @@ class Monomial:
         for v in self.vars:
             if not 1 <= v <= NUM_VARS:
                 raise ValueError(f"variable index {v} outside 1..{NUM_VARS}")
-        if len(self.vars) == 2 and self.vars[0] >= self.vars[1]:
-            raise ValueError(f"quadratic indices must be strictly increasing: {self.vars}")
+        if len(self.vars) == 2:
+            i, j = self.vars
+            if i == j:
+                raise ValueError(f"repeated variable in term {str(self)!r}")
+            if i > j:
+                raise ValueError(f"unordered quadratic term {str(self)!r}")
 
     @property
     def degree(self) -> int:
@@ -122,29 +128,15 @@ class BooleanPolynomial:
 def _parse_term(text: str, position: int) -> Monomial:
     if text == "1":
         return ONE
-    m = _QUAD_RE.match(text)
-    if m:
-        i, j = int(m.group(1)), int(m.group(2))
-        _check_var(i, position)
-        _check_var(j, position)
-        if i == j:
-            raise PolynomialSyntaxError(f"repeated variable in term {text!r}", position)
-        if i > j:
-            raise PolynomialSyntaxError(f"unordered quadratic term {text!r}", position)
-        return Monomial((i, j))
-    m = _LIN_RE.match(text)
-    if m:
-        i = int(m.group(1))
-        _check_var(i, position)
-        return Monomial((i,))
-    if len(_FACTOR_RE.findall(text)) > 2:
-        raise PolynomialSyntaxError(f"term {text!r} has degree > 2", position)
-    raise PolynomialSyntaxError(f"malformed term {text!r}", position)
-
-
-def _check_var(i: int, position: int):
-    if not 1 <= i <= NUM_VARS:
-        raise PolynomialSyntaxError(f"variable index {i} outside 1..{NUM_VARS}", position)
+    m = _TERM_RE.fullmatch(text)
+    if m is None:
+        if len(_FACTOR_RE.findall(text)) > 2:
+            raise PolynomialSyntaxError(f"term {text!r} has degree > 2", position)
+        raise PolynomialSyntaxError(f"malformed term {text!r}", position)
+    try:
+        return Monomial(tuple(int(v) for v in m.groups() if v is not None))
+    except ValueError as exc:
+        raise PolynomialSyntaxError(str(exc), position) from exc
 
 
 def parse_polynomial(line: str) -> BooleanPolynomial:

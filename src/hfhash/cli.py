@@ -9,10 +9,10 @@ import sys
 import click
 
 from . import analysis
-from .core import BLOCK_BYTES, Hasher, params_with, self_test
+from .core import BLOCK_BYTES, VALID_ROUNDS, Hasher, params_with, self_test
 from .system import AssetError, load_default_system
 
-_ROUNDS = click.Choice(["32", "48", "64"])
+_ROUNDS = click.Choice([str(r) for r in VALID_ROUNDS])
 _HEX16 = re.compile("[0-9a-fA-F]{16}")
 
 # thresholds the non-last-rule diffusion experiment is expected to meet

@@ -15,6 +15,7 @@ and where the padding 1-bit lands inside its byte) are captured in
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -27,6 +28,14 @@ BLOCK_BYTES = 56
 WORDS_PER_BLOCK = 14
 SCHEDULE_LEN = 64
 VALID_ROUNDS = (32, 48, 64)
+
+# allowed values of each LayoutConfig field, in field order
+LAYOUT_CHOICES = {
+    "length_endian": ("little", "big"),
+    "length_half_order": ("low-first", "high-first"),
+    "last_block_map": ("shifted", "literal"),
+    "pad_bit": ("msb", "lsb"),
+}
 
 # initial chaining value: first 256 fractional bits of pi
 IV = (
@@ -84,19 +93,14 @@ class LayoutConfig:
     pad_bit: str = "msb"
 
     def __post_init__(self):
-        _check_choice("length_endian", self.length_endian, ("little", "big"))
-        _check_choice("length_half_order", self.length_half_order, ("low-first", "high-first"))
-        _check_choice("last_block_map", self.last_block_map, ("shifted", "literal"))
-        _check_choice("pad_bit", self.pad_bit, ("msb", "lsb"))
+        for name, allowed in LAYOUT_CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
     def describe(self) -> str:
         return (f"length_endian={self.length_endian} half_order={self.length_half_order} "
                 f"last_block_map={self.last_block_map} pad_bit={self.pad_bit}")
-
-
-def _check_choice(name, value, allowed):
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 # frozen by the layout sweep in `reconcile`; see README for the sweep output
@@ -117,8 +121,13 @@ class HfParams:
     layout: LayoutConfig = field(default_factory=lambda: CANONICAL_LAYOUT)
 
     def __post_init__(self):
-        if self.rounds not in VALID_ROUNDS:
-            raise ValueError(f"rounds must be one of {VALID_ROUNDS}")
+        check_rounds(self.rounds)
+
+
+def check_rounds(rounds) -> None:
+    """Reject a round count outside VALID_ROUNDS; 64.0 is not an integer."""
+    if not isinstance(rounds, numbers.Integral) or rounds not in VALID_ROUNDS:
+        raise ValueError(f"rounds must be one of {VALID_ROUNDS}")
 
 
 @lru_cache(maxsize=None)

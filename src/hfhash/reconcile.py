@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .core import (
     CANONICAL_LAYOUT,
+    LAYOUT_CHOICES,
     HfParams,
     LayoutConfig,
     LayoutError,
@@ -28,21 +29,11 @@ from .core import (
     params_with,
 )
 
-LENGTH_ENDIAN_CHOICES = ("little", "big")
-HALF_ORDER_CHOICES = ("low-first", "high-first")
-LAST_BLOCK_CHOICES = ("shifted", "literal")
-PAD_BIT_CHOICES = ("msb", "lsb")
-
 
 def all_layouts() -> tuple[LayoutConfig, ...]:
     """All 16 candidate layouts, in a fixed deterministic order."""
-    return tuple(
-        LayoutConfig(length_endian=le, length_half_order=ho,
-                     last_block_map=lb, pad_bit=pb)
-        for le, ho, lb, pb in itertools.product(
-            LENGTH_ENDIAN_CHOICES, HALF_ORDER_CHOICES,
-            LAST_BLOCK_CHOICES, PAD_BIT_CHOICES)
-    )
+    return tuple(LayoutConfig(**dict(zip(LAYOUT_CHOICES, values)))
+                 for values in itertools.product(*LAYOUT_CHOICES.values()))
 
 
 @dataclass(frozen=True)

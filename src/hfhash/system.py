@@ -40,17 +40,6 @@ class AssetError(ValueError):
 
 
 @dataclass(frozen=True)
-class PolyAudit:
-    """Shape record for one polynomial, used to pin down the shipped asset."""
-
-    index: int
-    terms: int
-    quadratic: int
-    linear: int
-    constant: bool
-
-
-@dataclass(frozen=True)
 class PolynomialSystem:
     """Exactly 32 polynomials; position k-1 holds index k."""
 
@@ -86,18 +75,6 @@ class PolynomialSystem:
                 word |= 1 << (SYSTEM_SIZE - k)
         return word
 
-    def audit(self) -> tuple[PolyAudit, ...]:
-        return tuple(
-            PolyAudit(
-                index=p.index,
-                terms=p.term_count,
-                quadratic=p.quadratic_count,
-                linear=p.linear_count,
-                constant=p.has_constant,
-            )
-            for p in self.polys
-        )
-
 
 def load_system(text: str) -> PolynomialSystem:
     """Parse a polynomial asset: 32 definition lines, `#` comments ignored.
@@ -117,11 +94,8 @@ def load_system(text: str) -> PolynomialSystem:
             exc.line = lineno
             raise
     system = PolynomialSystem(polys=tuple(polys))
-    for a in system.audit():
-        log.debug(
-            "y_%d: %d terms (%d quadratic, %d linear, constant=%s)",
-            a.index, a.terms, a.quadratic, a.linear, a.constant,
-        )
+    log.debug("parsed %d polynomials, %d terms",
+              len(system.polys), sum(p.term_count for p in system.polys))
     return system
 
 

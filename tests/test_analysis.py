@@ -3,6 +3,7 @@ import json
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from hfhash import core
@@ -176,6 +177,14 @@ def test_diffusion_validates_arguments():
         diffusion(rounds=40)
     with pytest.raises(ValueError, match="rule"):
         diffusion(rule="middle")
+
+
+def test_diffusion_rounds_rule_matches_params():
+    # the one rounds check: a float is rejected as for 33, a numpy integer works
+    with pytest.raises(ValueError, match=r"rounds must be one of \(32, 48, 64\)"):
+        diffusion(rounds=64.0)
+    assert diffusion(rounds=np.int64(48)).per_position_weights == \
+        diffusion(rounds=48).per_position_weights
 
 
 def test_diffusion_matches_two_full_expansions():

@@ -1,3 +1,4 @@
+import logging
 from importlib import resources
 
 import pytest
@@ -47,10 +48,18 @@ def test_all_variables_within_64(system):
 
 
 def test_audit_breakdown_sums(system):
-    for entry in system.audit():
-        assert entry.terms == entry.quadratic + entry.linear + entry.constant
-        assert entry.constant in (0, 1)
-        assert entry.terms == EXPECTED_TERM_COUNTS[entry.index - 1]
+    for poly in system.polys:
+        assert poly.term_count == poly.quadratic_count + poly.linear_count + poly.has_constant
+        assert poly.has_constant in (0, 1)
+        assert poly.term_count == EXPECTED_TERM_COUNTS[poly.index - 1]
+
+
+def test_load_logs_one_summary_line(caplog):
+    text = (resources.files("hfhash") / "data" / "polynomials.txt").read_text()
+    with caplog.at_level(logging.DEBUG, logger="hfhash.system"):
+        load_system(text)
+    records = [r for r in caplog.records if r.name == "hfhash.system"]
+    assert [r.getMessage() for r in records] == ["parsed 32 polynomials, 33396 terms"]
 
 
 def test_constant_word_frozen(system):

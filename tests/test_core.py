@@ -1,6 +1,7 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -286,6 +287,18 @@ def test_digest_formatting(params):
 def test_params_validation(compiled):
     with pytest.raises(ValueError, match="rounds"):
         HfParams(system=compiled, rounds=33)
+
+
+@pytest.mark.parametrize("rounds", [64.0, 48.0], ids=repr)
+def test_params_reject_non_integer_rounds(compiled, rounds):
+    # 64.0 == 64, but a float round count cannot slice the schedule
+    with pytest.raises(ValueError, match=r"rounds must be one of \(32, 48, 64\)"):
+        HfParams(system=compiled, rounds=rounds)
+
+
+def test_params_accept_numpy_integer_rounds(params):
+    numpy_rounds = HfParams(system=params.system, rounds=np.int64(48))
+    assert hash_bytes(b"abc", numpy_rounds) == hash_bytes(b"abc", params_with(rounds=48))
 
 
 def test_layout_validation():

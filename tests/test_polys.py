@@ -64,6 +64,13 @@ def test_repeated_variable_in_quadratic_rejected():
         parse_polynomial("y_{1} = x_{3}x_{3}")
 
 
+def test_overlong_variable_index_is_a_syntax_error():
+    # int() refuses more than 4300 digits; that ValueError is reported at the term
+    with pytest.raises(PolynomialSyntaxError) as exc_info:
+        parse_polynomial("y_{1} = x_{2} + x_{" + "1" * 5000 + "}")
+    assert exc_info.value.position == 16
+
+
 def test_error_carries_position_and_formats():
     err = PolynomialSyntaxError("bad", 7, line=4)
     assert str(err) == "line 4, col 8: bad"
@@ -77,6 +84,44 @@ def test_monomial_validation():
         Monomial((0,))
     with pytest.raises(ValueError):
         Monomial((1, 2, 3))
+
+
+@pytest.mark.parametrize("vars_, message", [
+    ((3, 3), "repeated variable in term 'x_{3}x_{3}'"),
+    ((2, 1), "unordered quadratic term 'x_{2}x_{1}'"),
+    ((0,), "variable index 0 outside 1..64"),
+    ((65,), "variable index 65 outside 1..64"),
+    ((1, 2, 3), "monomial degree 3 exceeds 2"),
+], ids=["repeated", "unordered", "zero", "above-64", "cubic"])
+def test_monomial_messages(vars_, message):
+    with pytest.raises(ValueError) as exc_info:
+        Monomial(vars_)
+    assert str(exc_info.value) == message
+
+
+# full message and 0-based column of each rejected body, pinned from the
+# parser as it was when the term rules were checked in two places
+PINNED_PARSE_ERRORS = [
+    ("x_{1}x_{65}", "col 9: variable index 65 outside 1..64", 8),
+    ("x_{65}", "col 9: variable index 65 outside 1..64", 8),
+    ("x_{0}", "col 9: variable index 0 outside 1..64", 8),
+    ("x_{70}x_{70}", "col 9: variable index 70 outside 1..64", 8),
+    ("x_{3}x_{3}", "col 9: repeated variable in term 'x_{3}x_{3}'", 8),
+    ("x_{3}x_{2}", "col 9: unordered quadratic term 'x_{3}x_{2}'", 8),
+    ("x_{1}x_{2}x_{3}", "col 9: term 'x_{1}x_{2}x_{3}' has degree > 2", 8),
+    ("x_{2} + banana", "col 17: malformed term 'banana'", 16),
+    ("x_{4} + x_{4}", "col 17: duplicate term 'x_{4}'", 16),
+    ("x_{5} +  x_{9}x_{9}", "col 18: repeated variable in term 'x_{9}x_{9}'", 17),
+]
+
+
+@pytest.mark.parametrize("body, message, position", PINNED_PARSE_ERRORS,
+                         ids=[body for body, _, _ in PINNED_PARSE_ERRORS])
+def test_parse_error_messages_pinned(body, message, position):
+    with pytest.raises(PolynomialSyntaxError) as exc_info:
+        parse_polynomial(f"y_{{1}} = {body}")
+    assert str(exc_info.value) == message
+    assert exc_info.value.position == position
 
 
 def test_x1_is_most_significant_bit():

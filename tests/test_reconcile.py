@@ -7,12 +7,20 @@ from hfhash.reconcile import all_layouts, sweep
 # enumeration itself is pinned, not just its shape
 USABLE_FINGERPRINT = "ad2d0695f2cfe5248be44cd3623960ce41b4a01e6be11d20de247f47f18cf009"
 
+# SHA-256 of the 16 `describe()` lines, newline-joined, in enumeration order
+LAYOUT_ORDER_SHA256 = "4fbe21d9e91e9be37f83e9b6dd2af34fd9a9000fa1d42caf651b4f01df8ad049"
+
 
 def test_sixteen_distinct_layouts():
     layouts = all_layouts()
     assert len(layouts) == 16
     assert len(set(layouts)) == 16
     assert CANONICAL_LAYOUT in layouts
+
+
+def test_layout_order_is_pinned():
+    text = "\n".join(layout.describe() for layout in all_layouts())
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_ORDER_SHA256
 
 
 def test_half_of_the_layouts_are_usable(params):
