@@ -1,17 +1,57 @@
-/* Native `eval_word` over the 28 byte-pair tables of `compile_system`.
+/* Native `eval_word` over the chunk-pair tables of `compile_system`.
  *
- * `Evaluator(tables)` takes the one C-contiguous buffer of 28 x 65536
- * native uint32 words, the tables in `evaluator._PAIRS` order, and holds
- * a single buffer view on it, so nothing is copied and the buffer cannot
- * be resized while it lives.  The closure in `CompiledSystem._bind` is
- * the reference; `evaluator._load_pmap` builds this file on first use.
+ * The 64 input bits are cut into the chunks of CHUNK_WIDTHS, most
+ * significant first: ten of 6 bits and one of 4.  Every term of `p` has
+ * degree at most 2, so it lies within one chunk pair, and the map is the
+ * XOR of one bilinear table per pair (55 here).  The table of pair
+ * (i, j), i < j, holds 2**(w_i + w_j) uint32 words indexed by
+ * `chunk_i << w_j | chunk_j`; the tables follow each other in (i, j)
+ * order, 194,560 words (778,240 bytes) in all, which stays in L2.
+ * Finer chunks mean more lookups, coarser ones tables that spill out of
+ * the cache; 6 bits was the fastest width measured (BENCH_11.json).
+ *
+ * `Evaluator(tables)` takes that one C-contiguous buffer of native uint32
+ * words and holds a single buffer view on it, so nothing is copied and
+ * the buffer cannot be resized while it lives.  The module exports the
+ * widths as `CHUNK_WIDTHS`, from which `evaluator.compile_system` builds
+ * the buffer; `evaluator._load_pmap` builds this file on first use.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 
-#define NPAIRS 28
-#define TABLE_WORDS 65536
+static const int CHUNK_WIDTHS[] = {6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 4};
+#define NCHUNKS ((int)(sizeof CHUNK_WIDTHS / sizeof CHUNK_WIDTHS[0]))
+
+/* p(x): the XOR of one lookup per chunk pair in the tables `t` */
+static inline uint32_t
+pmap(const uint32_t *t, uint64_t x)
+{
+    uint32_t c[NCHUNKS];
+    int shift = 64;
+    for (int i = 0; i < NCHUNKS; i++) {
+        shift -= CHUNK_WIDTHS[i];
+        c[i] = (uint32_t)(x >> shift) & ((1u << CHUNK_WIDTHS[i]) - 1);
+    }
+    uint32_t acc = 0;
+    for (int i = 0; i < NCHUNKS - 1; i++)
+        for (int j = i + 1; j < NCHUNKS; j++) {
+            acc ^= t[c[i] << CHUNK_WIDTHS[j] | c[j]];
+            t += (size_t)1 << (CHUNK_WIDTHS[i] + CHUNK_WIDTHS[j]);
+        }
+    return acc;
+}
+
+/* the number of words in all the pair tables */
+static Py_ssize_t
+table_words(void)
+{
+    Py_ssize_t n = 0;
+    for (int i = 0; i < NCHUNKS - 1; i++)
+        for (int j = i + 1; j < NCHUNKS; j++)
+            n += (Py_ssize_t)1 << (CHUNK_WIDTHS[i] + CHUNK_WIDTHS[j]);
+    return n;
+}
 
 typedef struct {
     PyObject_HEAD
@@ -40,10 +80,10 @@ Evaluator_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_DECREF(self);
         return NULL;
     }
-    if (view->itemsize != 4 || strcmp(view->format, "I") != 0 ||
-        view->len != 4 * NPAIRS * TABLE_WORDS) {
+    Py_ssize_t words = table_words();
+    if (view->itemsize != 4 || strcmp(view->format, "I") != 0 || view->len != 4 * words) {
         PyErr_Format(PyExc_ValueError,
-                     "tables are not %d x %d native uint32 words", NPAIRS, TABLE_WORDS);
+                     "tables are not %zd native uint32 words", words);
         Py_DECREF(self);
         return NULL;
     }
@@ -62,15 +102,7 @@ Evaluator_eval_word(Evaluator *self, PyObject *arg)
     unsigned long long x = PyLong_AsUnsignedLongLong(arg);
     if (x == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
-    unsigned int b[8];
-    for (int i = 0; i < 8; i++)
-        b[i] = (unsigned int)(x >> (56 - 8 * i)) & 0xFF;
-    const uint32_t *t = self->view.buf;
-    uint32_t acc = 0;
-    for (int i = 0; i < 7; i++)
-        for (int j = i + 1; j < 8; j++, t += TABLE_WORDS)
-            acc ^= t[b[i] << 8 | b[j]];
-    return PyLong_FromUnsignedLong(acc);
+    return PyLong_FromUnsignedLong(pmap(self->view.buf, x));
 }
 
 static PyMethodDef Evaluator_methods[] = {
@@ -85,7 +117,7 @@ static PyTypeObject EvaluatorType = {
     .tp_basicsize = sizeof(Evaluator),
     .tp_dealloc = (destructor)Evaluator_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Evaluator(tables): the byte-pair table map, evaluated in C",
+    .tp_doc = "Evaluator(tables): the chunk-pair table map, evaluated in C",
     .tp_methods = Evaluator_methods,
     .tp_new = Evaluator_new,
 };
@@ -93,9 +125,26 @@ static PyTypeObject EvaluatorType = {
 static struct PyModuleDef pmap_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_pmap",
-    .m_doc = "Native byte-pair table evaluator.",
+    .m_doc = "Native chunk-pair table evaluator.",
     .m_size = -1,
 };
+
+static PyObject *
+chunk_widths(void)
+{
+    PyObject *widths = PyTuple_New(NCHUNKS);
+    if (widths == NULL)
+        return NULL;
+    for (int i = 0; i < NCHUNKS; i++) {
+        PyObject *w = PyLong_FromLong(CHUNK_WIDTHS[i]);
+        if (w == NULL) {
+            Py_DECREF(widths);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(widths, i, w);
+    }
+    return widths;
+}
 
 PyMODINIT_FUNC
 PyInit__pmap(void)
@@ -105,9 +154,14 @@ PyInit__pmap(void)
     PyObject *m = PyModule_Create(&pmap_module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddObjectRef(m, "Evaluator", (PyObject *)&EvaluatorType) < 0) {
+    PyObject *widths = chunk_widths();
+    if (widths == NULL ||
+            PyModule_AddObjectRef(m, "Evaluator", (PyObject *)&EvaluatorType) < 0 ||
+            PyModule_AddObjectRef(m, "CHUNK_WIDTHS", widths) < 0) {
+        Py_XDECREF(widths);
         Py_DECREF(m);
         return NULL;
     }
+    Py_DECREF(widths);
     return m;
 }

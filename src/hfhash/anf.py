@@ -4,7 +4,8 @@ The compression map of HF-hash is built from 32 quadratic GF(2)
 polynomials.  This module knows how to parse them from their text form,
 validate them, and evaluate them term by term.  `Monomial` is the one
 validator of a term (variable range, repeats, order); the parser only
-splits the text and reports its errors at the term's column.  The
+splits the text, reports its errors at the term's column and shares
+one `Monomial` object per distinct term across all lines.  The
 term-by-term evaluator here is deliberately simple: it is the
 correctness oracle that the optimized evaluator (see `evaluator`) is
 checked against.
@@ -17,13 +18,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 NUM_VARS = 64
 SYSTEM_SIZE = 32
 
-_PREFIX_RE = re.compile(r"^y_\{(\d+)\}\s*=\s*")
-_TERM_RE = re.compile(r"x_\{(\d+)\}(?:x_\{(\d+)\})?")
-_FACTOR_RE = re.compile(r"x_\{(\d+)\}")
+# [0-9], not \d: an index in any other script's digits is malformed
+_PREFIX_RE = re.compile(r"^y_\{([0-9]+)\}\s*=\s*")
+_TERM_RE = re.compile(r"x_\{([0-9]+)\}(?:x_\{([0-9]+)\})?")
+_FACTOR_RE = re.compile(r"x_\{([0-9]+)\}")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -125,6 +128,14 @@ class BooleanPolynomial:
         return self.canonical_str()
 
 
+@lru_cache(maxsize=None)
+def _monomial(vars: tuple[int, ...]) -> Monomial:
+    """The one shared `Monomial` of ``vars``.  A 32-polynomial system
+    repeats each term about 16 times; only the 2,081 valid terms are ever
+    cached, since an invalid one raises."""
+    return Monomial(vars)
+
+
 def _parse_term(text: str, position: int) -> Monomial:
     if text == "1":
         return ONE
@@ -134,7 +145,7 @@ def _parse_term(text: str, position: int) -> Monomial:
             raise PolynomialSyntaxError(f"term {text!r} has degree > 2", position)
         raise PolynomialSyntaxError(f"malformed term {text!r}", position)
     try:
-        return Monomial(tuple(int(v) for v in m.groups() if v is not None))
+        return _monomial(tuple(int(v) for v in m.groups() if v is not None))
     except ValueError as exc:
         raise PolynomialSyntaxError(str(exc), position) from exc
 
@@ -149,7 +160,11 @@ def parse_polynomial(line: str) -> BooleanPolynomial:
     m = _PREFIX_RE.match(line)
     if not m:
         raise PolynomialSyntaxError("expected 'y_{k} =' prefix", 0)
-    index = int(m.group(1))
+    try:
+        index = int(m.group(1))
+    except ValueError as exc:  # int() refuses more than 4300 digits
+        raise PolynomialSyntaxError(
+            f"polynomial index of {len(m.group(1))} digits is too long", 2) from exc
     if index < 1:
         raise PolynomialSyntaxError(f"polynomial index {index} must be positive", 2)
 

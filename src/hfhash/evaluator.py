@@ -2,16 +2,18 @@
 
 Three routes with identical semantics:
 
-* ``CompiledSystem`` -- byte-pair lookup tables, the production path.
-  The 64-bit input splits into 8 bytes; every monomial touches at most
-  two of them, so the whole map folds into 28 tables of 65536 packed
-  32-bit words, one per byte pair, held in one contiguous
-  ``(28, 256, 256)`` uint32 buffer.  Each table is a bilinear form over
-  its two bytes, built by one routine, ``_bilinear``.  An evaluation is
-  28 table lookups XORed together, done in C by the ``_pmap`` extension
-  (built from ``_pmap.c`` on first use, holding one view on the buffer)
-  or, when that cannot be built, by a Python closure over the same
-  buffer.
+* ``CompiledSystem`` -- chunk-pair lookup tables, the production path.
+  Every monomial has degree at most 2, so once the 64-bit input is cut
+  into chunks, each term touches at most two of them and the whole map
+  folds into one bilinear table per chunk pair, built by one routine,
+  ``_pair_tables``, into one flat uint32 buffer.  The native ``_pmap``
+  extension (built from ``_pmap.c`` on first use, holding one view on
+  the buffer) owns the chunk widths, ``CHUNK_WIDTHS``: ten chunks of 6
+  bits and one of 4, so an evaluation is 55 lookups XORed together in
+  778,240 bytes of tables, which stay in L2.  When the extension cannot
+  be built, a Python closure evaluates 28 byte-pair tables (widths
+  ``_BYTE_WIDTHS``, 7.3 MB), which only this fallback builds: fewer
+  lookups suit Python better than a smaller buffer.
 * ``TermSumEvaluator`` -- vectorized term-by-term summation operating
   directly on the parsed term list (one uint64 mask per term; a term is
   satisfied iff ``x & mask == mask``).  Slower, but its data layout is a
@@ -46,8 +48,8 @@ from .system import PolynomialSystem
 
 log = logging.getLogger(__name__)
 
-_BYTES = NUM_VARS // 8
-_PAIRS = tuple((t, u) for t in range(_BYTES) for u in range(t + 1, _BYTES))
+# the chunks of the Python fallback: 8 bytes, so 28 byte-pair tables
+_BYTE_WIDTHS = (8,) * (NUM_VARS // 8)
 
 _PMAP_SOURCE = Path(__file__).with_name("_pmap.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -117,47 +119,83 @@ def _collect_masks(system: PolynomialSystem):
 
 
 def _bilinear(mask: np.ndarray) -> np.ndarray:
-    """The (256, 256) table ``f[a, b]``: XOR of ``mask[s, r]`` over the set
-    bits of ``a`` and ``b``, slot 0 being a byte's most significant bit.
+    """The ``(2**h, 2**w)`` table ``f[a, b]`` of an ``(h, w)`` mask block:
+    XOR of ``mask[s, r]`` over the set bits s of ``a`` and r of ``b``,
+    slot 0 being a chunk's most significant bit.
 
-    Built by doubling over the 8 bits of each index byte in turn.
+    Built by doubling over the bits of each index in turn.
     """
-    g = np.zeros((8, 256), dtype=np.uint32)
-    for k in range(8):
-        g[:, 1 << k:2 << k] = g[:, :1 << k] ^ mask[:, 7 - k, None]
-    f = np.zeros((256, 256), dtype=np.uint32)
-    for k in range(8):
-        f[1 << k:2 << k] = f[:1 << k] ^ g[7 - k]
+    h, w = mask.shape
+    g = np.zeros((h, 1 << w), dtype=np.uint32)
+    for k in range(w):
+        g[:, 1 << k:2 << k] = g[:, :1 << k] ^ mask[:, w - 1 - k, None]
+    f = np.zeros((1 << h, 1 << w), dtype=np.uint32)
+    for k in range(h):
+        f[1 << k:2 << k] = f[:1 << k] ^ g[h - 1 - k]
     return f
 
 
-class CompiledSystem:
-    """Byte-pair table evaluator, oracle-equivalent to its source system.
+def _pair_tables(masks: np.ndarray, const: int, widths: tuple[int, ...]) -> np.ndarray:
+    """One flat uint32 buffer of chunk-pair tables for ``p``.
 
-    ``tables`` is one C-contiguous ``(28, 256, 256)`` uint32 buffer, the
-    table of pair ``_PAIRS[k]`` at ``tables[k]``, indexed by the pair's
-    two input bytes.  ``eval_word`` is the native ``_pmap`` method when
-    the extension loads, and the ``_bind`` closure otherwise; both read
-    that buffer.  ``source`` is the system the tables were compiled from,
-    so that an oracle of the same map can be built.  Immutable after
-    construction; evaluation is pure, so instances can be shared freely
-    across threads.
+    The input is cut into chunks of ``widths`` bits, most significant
+    first.  The table of chunk pair (t, u), t < u, is the bilinear form
+    of their mask block, indexed by ``chunk_t << widths[u] | chunk_u``;
+    the tables follow each other in (t, u) order.
+    """
+    n = len(widths)
+    edges = np.cumsum((0, *widths))
+    pairs = [(t, u) for t in range(n) for u in range(t + 1, n)]
+
+    def block(t, u):
+        return masks[edges[t]:edges[t + 1], edges[u]:edges[u + 1]]
+
+    # a chunk's own table (within-chunk pairs and linear terms) is the
+    # diagonal of its bilinear table; it folds into a neighbouring pair
+    # table, and the constant into the first, so that an evaluation is
+    # nothing but the pair lookups (copied, as a diagonal view would keep
+    # its whole base alive)
+    selfs = [np.diagonal(_bilinear(block(t, t))).copy() for t in range(n)]
+    tables = np.empty(sum(1 << (widths[t] + widths[u]) for t, u in pairs), dtype=np.uint32)
+    start = 0
+    for t, u in pairs:
+        f = tables[start:start + (1 << (widths[t] + widths[u]))]
+        f = f.reshape(1 << widths[t], 1 << widths[u])
+        f[...] = _bilinear(block(t, u))
+        if u == t + 1:
+            f ^= selfs[t][:, None]
+        if (t, u) == pairs[-1]:
+            f ^= selfs[u][None, :]
+        if start == 0:
+            f ^= np.uint32(const)
+        start += f.size
+    tables.flags.writeable = False
+    return tables
+
+
+class CompiledSystem:
+    """Chunk-pair table evaluator, oracle-equivalent to its source system.
+
+    ``eval_word`` is the native ``_pmap`` method when the extension loads,
+    over the 55 tables of its ``CHUNK_WIDTHS`` (778,240 bytes); otherwise
+    it is the ``_bind`` closure over 28 byte-pair tables (7.3 MB), which
+    only this fallback builds.  ``_tables`` is the one flat buffer the
+    chosen evaluator reads.  ``source`` is the system the tables were
+    compiled from, so that an oracle of the same map can be built.
+    Immutable after construction; evaluation is pure, so instances can be
+    shared freely across threads.
     """
 
-    def __init__(self, tables: np.ndarray, source: PolynomialSystem, constant_word: int):
+    def __init__(self, tables: np.ndarray, eval_word, source: PolynomialSystem,
+                 constant_word: int):
         self._tables = tables
+        self.eval_word = eval_word
         self.source = source
         self.constant_word = constant_word
-        pmap, how = _load_pmap()
-        if pmap is not None:
-            self.eval_word = pmap.Evaluator(tables).eval_word
-            log.debug("eval_word: native _pmap evaluator (%s)", how)
-        else:
-            self.eval_word = self._bind(tables)
-            log.debug("eval_word: python closure (%s)", how)
 
     @staticmethod
     def _bind(tables):
+        """The Python ``eval_word`` over the byte-pair tables, widths ``_BYTE_WIDTHS``."""
         words = memoryview(tables).cast("B").cast("I")
         (c01, c02, c03, c04, c05, c06, c07,
          c12, c13, c14, c15, c16, c17,
@@ -165,7 +203,7 @@ class CompiledSystem:
          c34, c35, c36, c37,
          c45, c46, c47,
          c56, c57,
-         c67) = (words[k << 16:(k + 1) << 16] for k in range(len(_PAIRS)))
+         c67) = (words[k << 16:(k + 1) << 16] for k in range(28))
 
         def eval_word(x: int) -> int:
             b = x.to_bytes(8, "big")
@@ -187,25 +225,19 @@ class CompiledSystem:
 
 
 def compile_system(system: PolynomialSystem) -> CompiledSystem:
-    """Precompute the byte-pair tables.  Deterministic in the system."""
+    """Precompute the pair tables of the evaluator that loads.  Deterministic
+    in the system."""
     masks, const = _collect_masks(system)
-    blocks = masks.reshape(_BYTES, 8, _BYTES, 8)
-    # a per-byte table (within-byte pairs and linear terms) is the diagonal
-    # of that byte's bilinear table; it folds into a neighbouring pair table,
-    # and the constant into the first, so that the final evaluation is
-    # nothing but the 28 pair lookups (copied, as a diagonal view would keep
-    # its whole 256x256 base alive)
-    selfs = [np.diagonal(_bilinear(blocks[t, :, t])).copy() for t in range(_BYTES)]
-    tables = np.empty((len(_PAIRS), 256, 256), dtype=np.uint32)
-    for f, (t, u) in zip(tables, _PAIRS):
-        f[...] = _bilinear(blocks[t, :, u])
-        if u == t + 1:
-            f ^= selfs[t][:, None]
-        if (t, u) == _PAIRS[-1]:
-            f ^= selfs[u][None, :]
-    tables[0] ^= np.uint32(const)
-    tables.flags.writeable = False
-    return CompiledSystem(tables=tables, source=system, constant_word=const)
+    pmap, how = _load_pmap()
+    if pmap is not None:
+        tables = _pair_tables(masks, const, pmap.CHUNK_WIDTHS)
+        eval_word = pmap.Evaluator(tables).eval_word
+        log.debug("eval_word: native _pmap evaluator (%s)", how)
+    else:
+        tables = _pair_tables(masks, const, _BYTE_WIDTHS)
+        eval_word = CompiledSystem._bind(tables)
+        log.debug("eval_word: python closure (%s)", how)
+    return CompiledSystem(tables, eval_word, source=system, constant_word=const)
 
 
 class TermSumEvaluator:

@@ -41,6 +41,13 @@ def test_term_counts_match_text_splitting(system):
         assert len(body.split("+")) == poly.term_count
 
 
+def test_parser_shares_one_monomial_per_distinct_term(system):
+    terms = [term for poly in system.polys for term in poly.terms]
+    assert len(terms) == 33396
+    # every valid term (1 + 64 + 64*63/2 = 2081) occurs, each as one object
+    assert len(set(terms)) == len({id(term) for term in terms}) == 2081
+
+
 def test_all_variables_within_64(system):
     for poly in system.polys:
         for term in poly.terms:

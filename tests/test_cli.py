@@ -195,6 +195,19 @@ def test_malformed_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
     assert result.stderr == f"hfhash: {asset}: line 1, col 9: variable index 99 outside 1..64\n"
 
 
+def test_overlong_polynomial_index_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+                                                          uncached_asset):
+    # int() refuses the 5000-digit index; that must not escape as a traceback
+    asset = tmp_path / "long.txt"
+    asset.write_text("y_{" + "1" * 5000 + "} = x_{1}\n")
+    monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
+    result = runner.invoke(main, ["sum"], input=b"a")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"hfhash: {asset}: line 1, col 3: "
+                             "polynomial index of 5000 digits is too long\n")
+
+
 def test_missing_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
                                                uncached_asset):
     asset = tmp_path / "missing.txt"

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sysconfig
 import types
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -116,11 +117,14 @@ def test_outputs_are_32_bit(compiled):
         assert 0 <= compiled.eval_word(x) <= 0xFFFFFFFF
 
 
-# The native evaluator and the Python closure read the same tables; the
+# The native evaluator reads chunk-pair tables, the Python closure byte-pair
+# tables built from the same masks: two independent layouts, and the
 # closure is the oracle the native path is held to.
 
+@lru_cache(maxsize=None)
 def _closure(compiled):
-    return CompiledSystem._bind(compiled._tables)
+    masks, const = evaluator._collect_masks(compiled.source)
+    return CompiledSystem._bind(evaluator._pair_tables(masks, const, evaluator._BYTE_WIDTHS))
 
 
 def test_default_params_use_native_eval_word():
@@ -157,12 +161,16 @@ def _need_compiler():
         pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: nothing is built")
 
 
+NATIVE_TABLE_BYTES = 778_240   # 55 chunk-pair tables: 45 of 6x6 bits, 10 of 6x4
+BYTE_TABLE_BYTES = 28 * 256 * 256 * 4
+
+
 @pytest.mark.parametrize("dtype, count", [
-    (np.uint32, 28 * 65536 - 1),
-    (np.uint32, 29 * 65536),
-    (np.float32, 28 * 65536),
-    (np.float64, 14 * 65536),
-    (np.uint64, 14 * 65536),
+    (np.uint32, NATIVE_TABLE_BYTES // 4 - 1),
+    (np.uint32, NATIVE_TABLE_BYTES // 4 + 1),
+    (np.float32, NATIVE_TABLE_BYTES // 4),
+    (np.float64, NATIVE_TABLE_BYTES // 8),
+    (np.uint64, NATIVE_TABLE_BYTES // 8),
 ], ids=["short", "long", "float32", "float64", "uint64"])
 def test_native_evaluator_rejects_a_wrong_buffer(dtype, count):
     _need_compiler()
@@ -170,6 +178,37 @@ def test_native_evaluator_rejects_a_wrong_buffer(dtype, count):
     assert module is not None, how
     with pytest.raises(ValueError, match="uint32"):
         module.Evaluator(np.zeros(count, dtype=dtype))
+
+
+@pytest.fixture()
+def built_widths(monkeypatch):
+    """The chunk widths of every table buffer built while the test runs."""
+    widths = []
+
+    def spy(masks, const, chunk_widths):
+        widths.append(tuple(chunk_widths))
+        return pair_tables(masks, const, chunk_widths)
+
+    pair_tables = evaluator._pair_tables
+    monkeypatch.setattr(evaluator, "_pair_tables", spy)
+    return widths
+
+
+def test_native_tables_stay_small(system, built_widths):
+    _need_compiler()
+    module, how = evaluator._load_pmap()
+    assert module is not None, how
+    native = compile_system(system)
+    assert native._tables.nbytes == NATIVE_TABLE_BYTES
+    # the byte-pair tables are the fallback's alone
+    assert built_widths == [module.CHUNK_WIDTHS]
+
+
+def test_only_the_fallback_builds_byte_pair_tables(system, monkeypatch, built_widths):
+    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+    fallback = compile_system(system)
+    assert built_widths == [(8,) * 8]
+    assert fallback._tables.nbytes == BYTE_TABLE_BYTES
 
 
 def test_native_source_compiles_without_warnings():

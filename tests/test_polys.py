@@ -71,6 +71,25 @@ def test_overlong_variable_index_is_a_syntax_error():
     assert exc_info.value.position == 16
 
 
+def test_overlong_polynomial_index_is_a_syntax_error():
+    with pytest.raises(PolynomialSyntaxError) as exc_info:
+        parse_polynomial("y_{" + "1" * 5000 + "} = x_{1}")
+    assert exc_info.value.position == 2
+    assert str(exc_info.value) == "col 3: polynomial index of 5000 digits is too long"
+
+
+@pytest.mark.parametrize("line", [
+    "y_{\u0663} = x_{\u0661}x_{\u0662} + x_{\u0663}",
+    "y_{3} = x_{\u0661}x_{\u0662} + x_{3}",
+    "y_{3} = x_{1}x_{2} + x_{\u0663}",
+    "y_{3} = x_{1}x_{2} + x_{\uff13}",
+], ids=["arabic-all", "arabic-quadratic", "arabic-linear", "fullwidth-linear"])
+def test_non_ascii_digits_rejected(line):
+    # only 0-9 are digits of the grammar; \d would read these as 1, 2, 3
+    with pytest.raises(PolynomialSyntaxError):
+        parse_polynomial(line)
+
+
 def test_error_carries_position_and_formats():
     err = PolynomialSyntaxError("bad", 7, line=4)
     assert str(err) == "line 4, col 8: bad"
