@@ -46,6 +46,9 @@ DEFAULT_AVALANCHE_INPUT = bytes.fromhex(
 # default benchmark ladder in bytes: 1.4, 4.84, 7.48, 12.94 and 24.3 MB
 DEFAULT_BENCH_SIZES = (1_400_000, 4_840_000, 7_480_000, 12_940_000, 24_300_000)
 
+# largest bench input: `random.Random.randbytes` makes at most 2**28 - 1 bytes
+MAX_BENCH_SIZE = (1 << 28) - 1
+
 # largest input the pure-Python term-sum path is timed on by default;
 # above this it is skipped (roughly 75 s per megabyte)
 DEFAULT_ORACLE_CAP = 1 << 20

@@ -155,7 +155,8 @@ def cmd_bench(sizes, as_json):
 
     The default ladder (1.4 to 24.3 MB) takes several minutes on the
     compiled path; pass --sizes for a quicker run.  The term-sum
-    oracle is only timed on inputs up to 1 MiB.
+    oracle is only timed on inputs up to 1 MiB.  A size may be at most
+    2**28 - 1 bytes.
     """
     if sizes is None:
         size_list = analysis.DEFAULT_BENCH_SIZES
@@ -168,6 +169,10 @@ def cmd_bench(sizes, as_json):
         if any(s < 0 for s in size_list):
             raise click.BadParameter("sizes must be nonnegative",
                                      param_hint="--sizes")
+        if any(s > analysis.MAX_BENCH_SIZE for s in size_list):
+            raise click.BadParameter(
+                f"sizes must be at most {analysis.MAX_BENCH_SIZE} bytes",
+                param_hint="--sizes")
     report = analysis.bench(sizes=size_list)
     _emit(report, as_json)
 

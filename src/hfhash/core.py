@@ -203,43 +203,46 @@ def pad(message: bytes, layout: LayoutConfig = CANONICAL_LAYOUT) -> bytes:
 def _pad_tail(bit_length: int, layout: LayoutConfig) -> bytes:
     if bit_length >= 1 << 64:
         raise ValueError("message length must be below 2**64 bits")
-    if bit_length % 8:
-        raise ValueError("only byte-aligned messages are supported")
     k = (383 - bit_length) % 448
     marker = 0x80 if layout.pad_bit == "msb" else 0x01
     return bytes([marker]) + b"\x00" * ((k - 7) // 8) + _encode_length(bit_length, layout)
 
 
 def parse_blocks(padded: bytes) -> list[MessageBlock]:
-    """Split padded bytes into 14-word blocks; words read little-endian."""
+    """Split padded bytes into blocks; the checked list form of `_read_blocks`."""
     if len(padded) % BLOCK_BYTES:
         raise ValueError(f"padded length {len(padded)} is not a multiple of {BLOCK_BYTES} bytes")
-    n = len(padded) // BLOCK_BYTES
-    blocks = []
+    return list(_read_blocks(padded, final=True))
+
+
+def _read_blocks(data, final: bool):
+    """Lazily read the whole 56-byte blocks of `data` as 14 little-endian
+    words each; a partial tail is left unread.
+
+    With `final`, `data` ends with the padding and its final block is
+    the last block.  Whole blocks before padding never are: padding
+    appends at least 65 bits, so the last block always lies beyond them.
+    """
+    n = len(data) // BLOCK_BYTES
     for i in range(n):
-        words = struct.unpack("<14I", padded[i * BLOCK_BYTES:(i + 1) * BLOCK_BYTES])
-        blocks.append(MessageBlock(words=words, is_last=(i == n - 1)))
-    return blocks
+        yield MessageBlock(words=struct.unpack_from("<14I", data, i * BLOCK_BYTES),
+                           is_last=final and i == n - 1)
 
 
-def expand(block: MessageBlock, chain: tuple[int, ...],
-           layout: LayoutConfig = CANONICAL_LAYOUT) -> list[int]:
+def expand(block: MessageBlock, chain: tuple[int, ...]) -> list[int]:
     """Build the 64-word schedule for one block.
 
     Ordinary blocks interleave the chain as W_0 and W_15 around the 14
     message words; the final padded block moves both chain words to the
     front so the encoded message length stays at the very end of the
-    16-word prefix.
+    16-word prefix.  That is the "shifted" last-block map, the only one
+    that runs; `Hasher` refuses the "literal" one before any block.
 
     Words may also be numpy ``uint32`` arrays of equal shape, the chain
     words included: the recurrence then runs lane by lane and returns a
     list of 64 such arrays.
     """
     if block.is_last:
-        if layout.last_block_map == "literal":
-            raise LayoutError(
-                "literal last-block word map needs message words M_2..M_15, "
-                "but a block carries M_1..M_14")
         w = [chain[0], chain[7], *block.words]
     else:
         w = [chain[0], *block.words, chain[7]]
@@ -258,7 +261,7 @@ def compress(chain: tuple[int, ...], block: MessageBlock, params: HfParams) -> t
         T2 = H4 + H5 + p(H7 || H6) + W_j
         (H0..H7) <- (T1 + T2, H0, H1, H2, (H3 + T1) <<< 5, H4, H5, H6)
     """
-    w = expand(block, chain, params.layout)
+    w = expand(block, chain)
     ev = params.system.eval_word
     h0, h1, h2, h3, h4, h5, h6, h7 = chain
     for wj, kj in zip(w[:params.rounds], ROUND_CONSTANTS):
@@ -277,11 +280,16 @@ def hash_bytes(message, params: HfParams | None = None) -> Digest:
 class Hasher:
     """Streaming interface and the one block loop; `hash_bytes` runs on it.
 
-    Any chunking of a message yields the digest of the whole message.
+    Any chunking of a message yields the digest of the whole message.  A
+    layout that cannot run raises `LayoutError` here, before any block.
     """
 
     def __init__(self, params: HfParams | None = None):
         self.params = params if params is not None else default_params()
+        if self.params.layout.last_block_map == "literal":
+            raise LayoutError(
+                "literal last-block word map needs message words M_2..M_15, "
+                "but a block carries M_1..M_14")
         self._chain = IV
         self._buffer = bytearray()      # a partial block, never a whole one
         self._total_bits = 0
@@ -300,20 +308,9 @@ class Hasher:
         view = memoryview(data).cast("B")
         self._total_bits += 8 * len(view)
         buffer = self._buffer
-        if buffer:
-            fill = min(BLOCK_BYTES - len(buffer), len(view))
-            buffer += view[:fill]
-            view = view[fill:]
-            if len(buffer) < BLOCK_BYTES:
-                return self
-            self._absorb([MessageBlock(words=struct.unpack("<14I", buffer))])
-            buffer.clear()
-        # whole blocks here are never the final padded block: padding
-        # always appends at least 65 bits, i.e. at least one more block
-        whole = len(view) - len(view) % BLOCK_BYTES
-        self._absorb(MessageBlock(words=words)
-                     for words in struct.iter_unpack("<14I", view[:whole]))
-        buffer += view[whole:]
+        buffer += view
+        self._absorb(_read_blocks(buffer, final=False))
+        del buffer[:len(buffer) - len(buffer) % BLOCK_BYTES]
         return self
 
     def finalize(self) -> Digest:

@@ -34,6 +34,7 @@ import logging
 import os
 import subprocess
 import sysconfig
+import threading
 from contextlib import suppress
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -54,6 +55,8 @@ _BYTE_WIDTHS = (8,) * (NUM_VARS // 8)
 _PMAP_SOURCE = Path(__file__).with_name("_pmap.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _COMPILER = "cc"
+# threads of one process would share the temporary name of a build
+_BUILD_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=None)
@@ -63,41 +66,44 @@ def _load_pmap():
     The extension is built once per source version into the package's
     ``__pycache__`` as ``_pmap-<source sha256 prefix><suffix>``, written
     under a per-process name and renamed into place, so concurrent first
-    uses cannot load a partial file.  A new build removes the builds of
-    other source versions for this interpreter; a process that has one
-    loaded keeps its mapping.  Never raises: without a compiler, a
-    writable cache directory or a successful build, the caller falls back
-    to the Python evaluator.
+    uses cannot load a partial file.  ``lru_cache`` lets every thread that
+    misses run the body, so the threads of one process take turns: the
+    first builds, the rest find its build.  A new build removes the
+    builds of other source versions for this interpreter; a process that
+    has one loaded keeps its mapping.  Never raises: without a compiler,
+    a writable cache directory or a successful build, the caller falls
+    back to the Python evaluator.
     """
-    try:
-        digest = hashlib.sha256(_PMAP_SOURCE.read_bytes()).hexdigest()[:16]
-        target = _CACHE_DIR / f"_pmap-{digest}{EXTENSION_SUFFIXES[0]}"
-        if target.exists():
-            how = f"cached {target.name}"
-        else:
-            t0 = perf_counter()
-            _CACHE_DIR.mkdir(exist_ok=True)
-            tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-            try:
-                subprocess.run(
-                    [_COMPILER, "-O2", "-shared", "-fPIC",
-                     "-I" + sysconfig.get_paths()["include"],
-                     str(_PMAP_SOURCE), "-o", str(tmp)],
-                    check=True, capture_output=True, timeout=120)
-                os.replace(tmp, target)
-            finally:
-                tmp.unlink(missing_ok=True)
-            how = f"built {target.name} in {perf_counter() - t0:.2f} s"
-            for stale in _CACHE_DIR.glob(f"_pmap-*{EXTENSION_SUFFIXES[0]}"):
-                if stale != target:
-                    with suppress(OSError):
-                        stale.unlink()
-        loader = ExtensionFileLoader("hfhash._pmap", str(target))
-        module = module_from_spec(spec_from_loader(loader.name, loader))
-        loader.exec_module(module)
-    except (OSError, ImportError, subprocess.SubprocessError) as exc:
-        return None, f"native build unavailable: {exc}"
-    return module, how
+    with _BUILD_LOCK:
+        try:
+            digest = hashlib.sha256(_PMAP_SOURCE.read_bytes()).hexdigest()[:16]
+            target = _CACHE_DIR / f"_pmap-{digest}{EXTENSION_SUFFIXES[0]}"
+            if target.exists():
+                how = f"cached {target.name}"
+            else:
+                t0 = perf_counter()
+                _CACHE_DIR.mkdir(exist_ok=True)
+                tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+                try:
+                    subprocess.run(
+                        [_COMPILER, "-O2", "-shared", "-fPIC",
+                         "-I" + sysconfig.get_paths()["include"],
+                         str(_PMAP_SOURCE), "-o", str(tmp)],
+                        check=True, capture_output=True, timeout=120)
+                    os.replace(tmp, target)
+                finally:
+                    tmp.unlink(missing_ok=True)
+                how = f"built {target.name} in {perf_counter() - t0:.2f} s"
+                for stale in _CACHE_DIR.glob(f"_pmap-*{EXTENSION_SUFFIXES[0]}"):
+                    if stale != target:
+                        with suppress(OSError):
+                            stale.unlink()
+            loader = ExtensionFileLoader("hfhash._pmap", str(target))
+            module = module_from_spec(spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+        except (OSError, ImportError, subprocess.SubprocessError) as exc:
+            return None, f"native build unavailable: {exc}"
+        return module, how
 
 
 def _collect_masks(system: PolynomialSystem):

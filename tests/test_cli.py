@@ -145,6 +145,14 @@ def test_bench_rejects_bad_sizes(runner):
     assert runner.invoke(main, ["bench", "--sizes", "-5"]).exit_code == 2
 
 
+@pytest.mark.parametrize("size", [2**28, 10**20])
+def test_bench_rejects_sizes_above_the_cap(runner, size):
+    # random.Random.randbytes cannot make 2**28 bytes on CPython 3.11
+    result = runner.invoke(main, ["bench", "--sizes", str(size)])
+    assert result.exit_code == 2
+    assert f"sizes must be at most {2**28 - 1} bytes" in result.output
+
+
 def test_poly_eval_constant_bits(runner):
     result = runner.invoke(main, ["poly", "--index", "1",
                                   "--eval", "0000000000000000"])

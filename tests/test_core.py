@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfhash import core
 from hfhash.core import (
     BLOCK_BYTES,
     CANONICAL_LAYOUT,
@@ -12,6 +13,7 @@ from hfhash.core import (
     ROUND_CONSTANTS,
     TEST_VECTORS,
     Digest,
+    Hasher,
     HfParams,
     LayoutConfig,
     LayoutError,
@@ -159,10 +161,29 @@ def test_last_block_prefix_is_shifted():
     assert tuple(w[2:16]) == words
 
 
+LITERAL_ERROR = ("literal last-block word map needs message words M_2..M_15, "
+                 "but a block carries M_1..M_14")
+
+
 def test_literal_last_block_map_cannot_run():
-    block = MessageBlock(words=(0,) * 14, is_last=True)
     with pytest.raises(LayoutError):
-        expand(block, (0,) * 8, LayoutConfig(last_block_map="literal"))
+        Hasher(params_with(layout=LayoutConfig(last_block_map="literal")))
+
+
+def test_unrunnable_layout_is_refused_before_any_block(monkeypatch):
+    calls = []
+    original = core.compress
+
+    def counting(chain, block, params):
+        calls.append(block)
+        return original(chain, block, params)
+
+    monkeypatch.setattr(core, "compress", counting)
+    literal = params_with(layout=LayoutConfig(last_block_map="literal"))
+    with pytest.raises(LayoutError) as err:
+        hash_bytes(bytes(10_000), literal)
+    assert str(err.value) == LITERAL_ERROR
+    assert calls == []
 
 
 def test_recurrence_holds_throughout():

@@ -3,7 +3,9 @@ import random
 import shutil
 import subprocess
 import sysconfig
+import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -260,3 +262,60 @@ def test_new_build_prunes_stale_builds(tmp_path, monkeypatch, fresh_loader):
     assert module is not None, how
     assert how.startswith("built ")
     assert [p.name for p in cache.iterdir()] == [how.split()[1]]
+
+
+class _SpyLock:
+    """A lock that reports a second acquirer, which then blocks."""
+
+    def __init__(self, contended):
+        self._lock = threading.Lock()
+        self._contended = contended
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self._contended.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_two_threads_building_at_once_both_load_the_module(
+        tmp_path, monkeypatch, fresh_loader):
+    _need_compiler()
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(evaluator, "_CACHE_DIR", cache)
+    # The first build is held open, its output written, until the second
+    # thread has either started a build of its own (the two then share a
+    # temporary file) or is waiting for the first to finish.
+    second = threading.Event()
+    first_built = threading.Event()
+    second_built = threading.Event()
+    builds = []
+    real_run = subprocess.run
+
+    def held_run(*args, **kwargs):
+        builds.append(args)
+        if len(builds) == 1:
+            result = real_run(*args, **kwargs)
+            first_built.set()
+            assert second.wait(60), "the second thread never arrived"
+            if len(builds) > 1:
+                assert second_built.wait(60), "the second build never finished"
+            return result
+        second.set()
+        assert first_built.wait(60), "the first build never finished"
+        result = real_run(*args, **kwargs)
+        second_built.set()
+        return result
+
+    monkeypatch.setattr(evaluator.subprocess, "run", held_run)
+    monkeypatch.setattr(evaluator, "_BUILD_LOCK", _SpyLock(second), raising=False)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = [f.result() for f in
+                   [pool.submit(evaluator._load_pmap) for _ in range(2)]]
+    for module, how in results:
+        assert module is not None, how
+    assert len(builds) == 1
+    assert [p.name for p in cache.iterdir()] == [results[0][1].split()[1]]

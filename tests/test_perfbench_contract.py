@@ -1,13 +1,18 @@
 """The layered benchmark replaces package attributes by name; they must exist."""
 
 import importlib.util
+import random
 from pathlib import Path
 
+import pytest
+
 from hfhash import analysis, core
+from hfhash.core import pad, parse_blocks
 from hfhash.evaluator import TermSumEvaluator
 from hfhash.system import load_default_system
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+CHUNK = 1 << 16     # the stream-long workload's chunk size
 
 
 def _load_spans():
@@ -45,3 +50,67 @@ def test_report_fields_the_workloads_read_exist(params):
     schedule = analysis.diffusion(rounds=64, rule="non-last")
     assert (schedule.rule, schedule.rounds) == ("non-last", 64)
     assert isinstance(schedule.min_weight, int)
+
+
+# --- the block contract: a traced run checks compress calls == padded blocks
+
+def _record(monkeypatch, name):
+    """Replace ``core.<name>`` through the module, as the shims do, and
+    collect the arguments of every call."""
+    calls = []
+    original = getattr(core, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, name, recorded)
+    return calls
+
+
+def _chunks(message, size):
+    return [message[i:i + size] for i in range(0, len(message), size)]
+
+
+def _empty_interleaved(message):
+    # uneven cuts, with empty chunks before, between and after them
+    cuts = [0, 1, 20, 77, 133, len(message)]
+    parts = [b""]
+    for lo, hi in zip(cuts, cuts[1:]):
+        parts += [message[lo:hi], b""]
+    return parts
+
+
+def test_one_shot_compresses_exactly_the_padded_blocks(params, monkeypatch):
+    compressed = _record(monkeypatch, "compress")
+    parsed = _record(monkeypatch, "parse_blocks")
+    for length in range(169):
+        message = random.Random(length).randbytes(length)
+        compressed.clear()
+        parsed.clear()
+        core.hash_bytes(message, params)
+        assert [block for _, block, _ in compressed] == parse_blocks(pad(message))
+        assert len(parsed) == 1
+
+
+@pytest.mark.parametrize("chunking, lengths", [
+    (lambda m: _chunks(m, CHUNK), (CHUNK + 100,)),
+    (lambda m: _chunks(m, 56), (0, 55, 56, 57, 112, 200)),
+    (lambda m: _chunks(m, 1), (0, 55, 56, 57, 112, 200)),
+    (_empty_interleaved, (0, 55, 56, 57, 112, 200)),
+], ids=["64KiB", "56B", "1B", "empty-interleaved"])
+def test_streaming_compresses_exactly_the_padded_blocks(
+        params, monkeypatch, chunking, lengths):
+    compressed = _record(monkeypatch, "compress")
+    parsed = _record(monkeypatch, "parse_blocks")
+    for length in lengths:
+        message = random.Random(length).randbytes(length)
+        compressed.clear()
+        parsed.clear()
+        hasher = core.Hasher(params)
+        for chunk in chunking(message):
+            hasher.update(chunk)
+        assert parsed == []
+        hasher.finalize()
+        assert [block for _, block, _ in compressed] == parse_blocks(pad(message))
+        assert len(parsed) == 1
