@@ -110,18 +110,15 @@ def _collect_masks(system: PolynomialSystem):
     """Merge the 32 term sets into one 64x64 matrix of 32-bit output masks.
 
     ``x_i x_j`` (i < j) lands in ``m[i-1, j-1]`` and ``x_i`` in
-    ``m[i-1, i-1]``; the constant terms form the returned word.
+    ``m[i-1, i-1]``; the constant terms are ``system.constant_word``.
     """
     m = [[0] * NUM_VARS for _ in range(NUM_VARS)]
-    const = 0
     for k, poly in enumerate(system.polys, start=1):
         out_bit = 1 << (SYSTEM_SIZE - k)
         for term in poly.terms:
             if term.vars:
                 m[term.vars[0] - 1][term.vars[-1] - 1] ^= out_bit
-            else:
-                const ^= out_bit
-    return np.array(m, dtype=np.uint32), const
+    return np.array(m, dtype=np.uint32)
 
 
 def _bilinear(mask: np.ndarray) -> np.ndarray:
@@ -233,7 +230,7 @@ class CompiledSystem:
 def compile_system(system: PolynomialSystem) -> CompiledSystem:
     """Precompute the pair tables of the evaluator that loads.  Deterministic
     in the system."""
-    masks, const = _collect_masks(system)
+    masks, const = _collect_masks(system), system.constant_word
     pmap, how = _load_pmap()
     if pmap is not None:
         tables = _pair_tables(masks, const, pmap.CHUNK_WIDTHS)
@@ -252,13 +249,14 @@ class TermSumEvaluator:
     def __init__(self, system: PolynomialSystem):
         masks: list[int] = []
         starts: list[int] = []
-        const_word = 0
+        # XORed into every result: the constant terms, plus a flip for
+        # each zero mask below
+        offset = self.constant_word = system.constant_word
         for k, poly in enumerate(system.polys, start=1):
             starts.append(len(masks))
             nonconst = 0
             for term in sorted(poly.terms, key=lambda m: (-m.degree, m.vars)):
                 if term.degree == 0:
-                    const_word ^= 1 << (SYSTEM_SIZE - k)
                     continue
                 mask = 0
                 for v in term.vars:
@@ -267,18 +265,18 @@ class TermSumEvaluator:
                 nonconst += 1
             if nonconst == 0:
                 # keep reduceat segments nonempty: a zero mask is always
-                # satisfied, so cancel its contribution in the constant
+                # satisfied, so cancel its contribution in the offset
                 masks.append(0)
-                const_word ^= 1 << (SYSTEM_SIZE - k)
+                offset ^= 1 << (SYSTEM_SIZE - k)
         self._masks = np.asarray(masks, dtype=np.uint64)
         self._starts = np.asarray(starts, dtype=np.int64)
-        self.constant_word = const_word
+        self._offset = offset
 
     def eval_word(self, x: int) -> int:
         satisfied = (np.uint64(x) & self._masks) == self._masks
         parity = np.add.reduceat(satisfied, self._starts) & 1
         word = int.from_bytes(np.packbits(parity.astype(np.uint8)).tobytes(), "big")
-        return word ^ self.constant_word
+        return word ^ self._offset
 
 
 def eval_batch_bitsliced(system: PolynomialSystem, inputs: list[int]) -> list[int]:

@@ -1,10 +1,12 @@
-"""Layout sweep: every encoding convention tried against the reference digests.
+"""Layout sweep: the self test run under every encoding convention.
 
 Four encoding details of the hash are under-determined by its prose
 definition (length-field endianness, order of the two length halves,
 last-block word placement, padding-bit position).  This module enumerates
-all 16 combinations, hashes the three reference messages under each, and
-reports which combinations, if any, reproduce the published digests.
+all 16 combinations, runs ``core.self_test`` (the one check of the three
+reference digests) under each, and reports which combinations, if any,
+reproduce the published digests.  A layout that cannot run makes
+``self_test`` raise ``LayoutError``; its entry keeps the error text.
 
 The sweep that froze ``CANONICAL_LAYOUT`` found no matching combination
 (see README); the canonical choice is therefore the documented default
@@ -23,10 +25,10 @@ from .core import (
     HfParams,
     LayoutConfig,
     LayoutError,
+    SelfTestReport,
     TEST_VECTORS,
-    default_params,
-    hash_bytes,
     params_with,
+    self_test,
 )
 
 
@@ -38,38 +40,47 @@ def all_layouts() -> tuple[LayoutConfig, ...]:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One candidate layout with its three digests (or its failure)."""
+    """One candidate layout with its self-test report, or why it cannot run."""
 
     layout: LayoutConfig
-    digests: tuple[str, ...]
+    report: SelfTestReport | None
     error: str | None
 
     @property
     def usable(self) -> bool:
-        return self.error is None
+        return self.report is not None
 
-    def matches(self, expected: tuple[str, ...]) -> tuple[bool, ...]:
+    @property
+    def digests(self) -> tuple[str, ...]:
+        return tuple(c.actual for c in self.report.checks) if self.usable else ()
+
+    def matches(self) -> tuple[bool, ...]:
         if not self.usable:
-            return tuple(False for _ in expected)
-        return tuple(d == e for d, e in zip(self.digests, expected))
+            return (False,) * len(TEST_VECTORS)
+        return tuple(c.ok for c in self.report.checks)
 
-    def full_match(self, expected: tuple[str, ...]) -> bool:
-        return all(self.matches(expected))
+    def full_match(self) -> bool:
+        return self.usable and self.report.all_ok
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Outcome of hashing the reference messages under every layout."""
+    """Outcome of the self test under every layout."""
 
-    messages: tuple[bytes, ...]
-    expected: tuple[str, ...]
     entries: tuple[SweepEntry, ...]
-    canonical: LayoutConfig
+    canonical = CANONICAL_LAYOUT
+
+    @property
+    def messages(self) -> tuple[bytes, ...]:
+        return tuple(m for m, _ in TEST_VECTORS)
+
+    @property
+    def expected(self) -> tuple[str, ...]:
+        return tuple(e for _, e in TEST_VECTORS)
 
     @property
     def matching_layouts(self) -> tuple[LayoutConfig, ...]:
-        return tuple(e.layout for e in self.entries
-                     if e.full_match(self.expected))
+        return tuple(e.layout for e in self.entries if e.full_match())
 
     @property
     def canonical_entry(self) -> SweepEntry:
@@ -89,8 +100,7 @@ class SweepReport:
             if not e.usable:
                 lines.append(f"    unusable: {e.error}")
                 continue
-            for msg, digest, ok in zip(self.messages, e.digests,
-                                       e.matches(self.expected)):
+            for msg, digest, ok in zip(self.messages, e.digests, e.matches()):
                 mark = "MATCH" if ok else "differs"
                 lines.append(f"    {msg.decode('ascii', 'replace')!r}: "
                              f"{digest}  [{mark}]")
@@ -115,7 +125,7 @@ class SweepReport:
                     "usable": e.usable,
                     "error": e.error,
                     "digests": list(e.digests),
-                    "matches": list(e.matches(self.expected)),
+                    "matches": list(e.matches()),
                 }
                 for e in self.entries
             ],
@@ -124,20 +134,13 @@ class SweepReport:
 
 
 def sweep(params: HfParams | None = None) -> SweepReport:
-    """Hash the reference messages under all 16 layouts and compare."""
-    if params is None:
-        params = default_params()
-    messages = tuple(m for m, _ in TEST_VECTORS)
-    expected = tuple(e for _, e in TEST_VECTORS)
+    """Run the self test under all 16 layouts of `params` (default: the
+    shipped system)."""
     entries = []
     for layout in all_layouts():
-        trial = params_with(layout=layout, base=params)
         try:
-            digests = tuple(hash_bytes(m, trial).hex() for m in messages)
-            error = None
+            report, error = self_test(params_with(layout=layout, base=params)), None
         except LayoutError as exc:
-            digests = ()
-            error = str(exc)
-        entries.append(SweepEntry(layout=layout, digests=digests, error=error))
-    return SweepReport(messages=messages, expected=expected,
-                       entries=tuple(entries), canonical=CANONICAL_LAYOUT)
+            report, error = None, str(exc)
+        entries.append(SweepEntry(layout=layout, report=report, error=error))
+    return SweepReport(entries=tuple(entries))

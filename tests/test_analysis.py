@@ -155,6 +155,29 @@ def test_diffusion_frozen_extremes():
     assert (by_rounds[32].min_weight, by_rounds[32].max_weight) == (18, 39)
 
 
+# a low-weight schedule difference: 8 flipped message bits whose schedule
+# difference under the non-last rule is far lighter than any single flip's
+LOW_WEIGHT_DIFFERENCE = bytes.fromhex(
+    "0000000000000000000000000000000024000000200000002000008000000000"
+    "000000800000000000000000000000000400000020000000")
+
+
+def test_low_weight_schedule_difference():
+    # the schedule is linear, so the difference's weight is the same for
+    # every chain and base message; 29 bounds the minimum at 64 rounds
+    assert sum(bin(b).count("1") for b in LOW_WEIGHT_DIFFERENCE) == 8
+    rng = random.Random(41)
+    bases = [(bytes(56), (0,) * 8)] + [
+        (rng.randbytes(56), tuple(rng.getrandbits(32) for _ in range(8)))
+        for _ in range(8)]
+    for message, chain in bases:
+        flipped = bytes(a ^ b for a, b in zip(message, LOW_WEIGHT_DIFFERENCE))
+        base = expand(MessageBlock(words=struct.unpack("<14I", message)), chain)
+        other = expand(MessageBlock(words=struct.unpack("<14I", flipped)), chain)
+        weights = [bin(a ^ b).count("1") for a, b in zip(base, other)]
+        assert (sum(weights[:32]), sum(weights[:48]), sum(weights)) == (18, 22, 29)
+
+
 def test_diffusion_weights_constant_within_a_word():
     # rotating the initial difference rotates every schedule word, so all
     # 32 flips inside one message word share a weight

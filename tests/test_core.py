@@ -355,6 +355,13 @@ def test_self_test_flipped_endianness_also_mismatches():
     assert report.passed == 0
 
 
+def test_self_test_raises_on_a_layout_that_cannot_run(params):
+    literal = params_with(layout=LayoutConfig(last_block_map="literal"), base=params)
+    with pytest.raises(LayoutError) as err:
+        self_test(literal)
+    assert str(err.value) == LITERAL_ERROR
+
+
 def test_self_test_dict_shape(params):
     d = self_test(params).to_dict()
     assert d["total"] == 3

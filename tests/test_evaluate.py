@@ -59,6 +59,17 @@ def test_eval_at_zero_is_constant_word(system, compiled):
     assert eval_batch_bitsliced(system, [0]) == [want]
 
 
+def test_constant_word_agrees_on_a_mixed_system():
+    # y_1 = 1 has no variable term, so the term-sum evaluator pads it with
+    # a zero mask whose flip must stay out of its constant_word
+    system = _synthetic(lambda k: "1" if k == 1 else f"x_{{{k}}}")
+    compiled, term_sum = compile_system(system), TermSumEvaluator(system)
+    assert system.constant_word == 0x80000000
+    assert compiled.constant_word == term_sum.constant_word == 0x80000000
+    assert compiled.eval_word(0) == term_sum.eval_word(0) == 0x80000000
+    assert eval_batch_bitsliced(system, [0]) == [0x80000000]
+
+
 def test_compiled_matches_reference(system, compiled):
     rng = random.Random(11)
     for _ in range(60):
@@ -125,8 +136,9 @@ def test_outputs_are_32_bit(compiled):
 
 @lru_cache(maxsize=None)
 def _closure(compiled):
-    masks, const = evaluator._collect_masks(compiled.source)
-    return CompiledSystem._bind(evaluator._pair_tables(masks, const, evaluator._BYTE_WIDTHS))
+    masks = evaluator._collect_masks(compiled.source)
+    return CompiledSystem._bind(evaluator._pair_tables(
+        masks, compiled.source.constant_word, evaluator._BYTE_WIDTHS))
 
 
 def test_default_params_use_native_eval_word():
