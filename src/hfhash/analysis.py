@@ -325,7 +325,7 @@ class BenchReport:
 
 def bench(sizes: tuple[int, ...] = DEFAULT_BENCH_SIZES,
           params: HfParams | None = None,
-          oracle_cap: int | None = DEFAULT_ORACLE_CAP) -> BenchReport:
+          oracle_cap: int = DEFAULT_ORACLE_CAP) -> BenchReport:
     """Time one-shot hashing of random buffers of each size.
 
     Three implementations run per size: the compiled evaluation path,
@@ -350,7 +350,7 @@ def bench(sizes: tuple[int, ...] = DEFAULT_BENCH_SIZES,
         compiled_s = time.perf_counter() - t0
 
         oracle_s = None
-        if oracle_cap is not None and 0 < size <= oracle_cap:
+        if 0 < size <= oracle_cap:
             t0 = time.perf_counter()
             oracle_digest = hash_bytes(data, oracle_params)
             oracle_s = time.perf_counter() - t0

@@ -13,7 +13,7 @@ from .core import BLOCK_BYTES, VALID_ROUNDS, Hasher, params_with, self_test
 from .system import AssetError, load_default_system
 
 _ROUNDS = click.Choice([str(r) for r in VALID_ROUNDS])
-_HEX16 = re.compile("[0-9a-fA-F]{16}")
+_DIGITS = re.compile("[0-9]+")
 
 # thresholds the non-last-rule diffusion experiment is expected to meet
 _DIFFUSION_BOUNDS = {64: (">=", 165), 48: ("<", 75), 32: ("<", 75)}
@@ -43,6 +43,14 @@ def _params(rounds: str):
     return params_with(rounds=int(rounds))
 
 
+def _hex_bytes(text: str, n: int, param_hint: str) -> bytes:
+    """``text`` as exactly ``n`` bytes written as ASCII hex digits."""
+    if not re.fullmatch(f"[0-9a-fA-F]{{{2 * n}}}", text):
+        raise click.BadParameter(f"need exactly {2 * n} hex digits",
+                                 param_hint=param_hint)
+    return bytes.fromhex(text)
+
+
 def _emit(report, as_json: bool) -> None:
     if as_json:
         click.echo(json.dumps(report.to_dict(), indent=2))
@@ -64,13 +72,10 @@ def cmd_sum(paths, upper, grouped, rounds):
     for path in paths:
         hasher = Hasher(params)
         try:
-            if path == "-":
-                while chunk := sys.stdin.buffer.read(1 << 16):
+            # "-" is standard input, which the context leaves open
+            with click.open_file(path, "rb") as fh:
+                while chunk := fh.read(1 << 16):
                     hasher.update(chunk)
-            else:
-                with open(path, "rb") as fh:
-                    while chunk := fh.read(1 << 16):
-                        hasher.update(chunk)
         except OSError as exc:
             click.echo(f"hfhash: {path}: {exc.strerror or exc}", err=True)
             failed = True
@@ -104,14 +109,7 @@ def cmd_avalanche(input_hex, seed, rounds, as_json):
     if input_hex is not None and seed is not None:
         raise click.UsageError("--input and --seed are mutually exclusive")
     if input_hex is not None:
-        try:
-            message = bytes.fromhex(input_hex)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="--input")
-        if len(message) != BLOCK_BYTES:
-            raise click.BadParameter(
-                f"need {2 * BLOCK_BYTES} hex digits, got {len(input_hex)}",
-                param_hint="--input")
+        message = _hex_bytes(input_hex, BLOCK_BYTES, "--input")
     elif seed is not None:
         import random
         message = random.Random(seed).randbytes(BLOCK_BYTES)
@@ -161,15 +159,16 @@ def cmd_bench(sizes, as_json):
     if sizes is None:
         size_list = analysis.DEFAULT_BENCH_SIZES
     else:
+        parts = sizes.split(",")
+        if not all(_DIGITS.fullmatch(s) for s in parts):
+            raise click.BadParameter("sizes must be nonnegative integers",
+                                     param_hint="--sizes")
         try:
-            size_list = tuple(int(s) for s in sizes.split(","))
-        except ValueError:
-            raise click.BadParameter("sizes must be integers",
-                                     param_hint="--sizes")
-        if any(s < 0 for s in size_list):
-            raise click.BadParameter("sizes must be nonnegative",
-                                     param_hint="--sizes")
-        if any(s > analysis.MAX_BENCH_SIZE for s in size_list):
+            size_list = tuple(int(s) for s in parts)
+            too_big = any(s > analysis.MAX_BENCH_SIZE for s in size_list)
+        except ValueError:  # int() refuses more than 4300 digits
+            too_big = True
+        if too_big:
             raise click.BadParameter(
                 f"sizes must be at most {analysis.MAX_BENCH_SIZE} bytes",
                 param_hint="--sizes")
@@ -191,10 +190,7 @@ def cmd_poly(index, eval_hex, stats, as_json):
     system = load_default_system()
     poly = system.polys[index - 1]
     if eval_hex is not None:
-        if not _HEX16.fullmatch(eval_hex):
-            raise click.BadParameter("need exactly 16 hex digits",
-                                     param_hint="--eval")
-        x = int(eval_hex, 16)
+        x = int.from_bytes(_hex_bytes(eval_hex, 8, "--eval"), "big")
         bit = poly.evaluate(x)
         if as_json:
             click.echo(json.dumps({"index": index, "input": eval_hex,

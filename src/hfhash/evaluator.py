@@ -15,10 +15,11 @@ Three routes with identical semantics:
   ``_BYTE_WIDTHS``, 7.3 MB), which only this fallback builds: fewer
   lookups suit Python better than a smaller buffer.
 * ``TermSumEvaluator`` -- vectorized term-by-term summation operating
-  directly on the parsed term list (one uint64 mask per term; a term is
-  satisfied iff ``x & mask == mask``).  Slower, but its data layout is a
-  straight transcription of the polynomial text, which makes it the
-  natural cross-check and the baseline for benchmarks.
+  directly on the parsed term list (one uint64 mask per term, the
+  constant's being 0; a term is satisfied iff ``x & mask == mask``).
+  Slower, but its data layout is a straight transcription of the
+  polynomial text, which makes it the natural cross-check and the
+  baseline for benchmarks.
 * ``eval_batch_bitsliced`` -- pure-python bitsliced term summation
   across a whole batch of inputs at once, used to sweep the two paths
   above against each other over large random samples.
@@ -244,39 +245,30 @@ def compile_system(system: PolynomialSystem) -> CompiledSystem:
 
 
 class TermSumEvaluator:
-    """Vectorized term-by-term evaluation straight off the term lists."""
+    """Vectorized term-by-term evaluation straight off the term lists.
+
+    Each term is one uint64 mask of its variables (distinct, so their
+    bits sum to an OR); the constant's mask is 0, which every input
+    satisfies.  A polynomial with no terms gets
+    two zero masks, which cancel, so that its ``reduceat`` segment is
+    nonempty.
+    """
 
     def __init__(self, system: PolynomialSystem):
         masks: list[int] = []
         starts: list[int] = []
-        # XORed into every result: the constant terms, plus a flip for
-        # each zero mask below
-        offset = self.constant_word = system.constant_word
-        for k, poly in enumerate(system.polys, start=1):
+        for poly in system.polys:
             starts.append(len(masks))
-            nonconst = 0
-            for term in sorted(poly.terms, key=lambda m: (-m.degree, m.vars)):
-                if term.degree == 0:
-                    continue
-                mask = 0
-                for v in term.vars:
-                    mask |= 1 << (NUM_VARS - v)
-                masks.append(mask)
-                nonconst += 1
-            if nonconst == 0:
-                # keep reduceat segments nonempty: a zero mask is always
-                # satisfied, so cancel its contribution in the offset
-                masks.append(0)
-                offset ^= 1 << (SYSTEM_SIZE - k)
+            masks.extend([sum(1 << (NUM_VARS - v) for v in term.vars)
+                          for term in poly.terms] or [0, 0])
         self._masks = np.asarray(masks, dtype=np.uint64)
         self._starts = np.asarray(starts, dtype=np.int64)
-        self._offset = offset
+        self.constant_word = system.constant_word
 
     def eval_word(self, x: int) -> int:
         satisfied = (np.uint64(x) & self._masks) == self._masks
         parity = np.add.reduceat(satisfied, self._starts) & 1
-        word = int.from_bytes(np.packbits(parity.astype(np.uint8)).tobytes(), "big")
-        return word ^ self._offset
+        return int.from_bytes(np.packbits(parity.astype(np.uint8)).tobytes(), "big")
 
 
 def eval_batch_bitsliced(system: PolynomialSystem, inputs: list[int]) -> list[int]:
@@ -288,7 +280,7 @@ def eval_batch_bitsliced(system: PolynomialSystem, inputs: list[int]) -> list[in
     ``[0, 2**64)`` raises OverflowError, as on the other paths.
     """
     n = len(inputs)
-    cols = [0] * (NUM_VARS + 1)
+    cols = [0] * NUM_VARS
     for pos, x in enumerate(inputs):
         if not 0 <= x < 1 << NUM_VARS:
             raise OverflowError(f"input {x} outside [0, 2**{NUM_VARS})")
@@ -300,18 +292,13 @@ def eval_batch_bitsliced(system: PolynomialSystem, inputs: list[int]) -> list[in
             x >>= 1
             v -= 1
     ones = (1 << n) - 1
-    cols[NUM_VARS] = ones
 
+    # a linear term's first and last variable are the same
     streams = []
     for poly in system.polys:
         acc = 0
         for term in poly.terms:
-            if term.degree == 2:
-                acc ^= cols[term.vars[0] - 1] & cols[term.vars[1] - 1]
-            elif term.degree == 1:
-                acc ^= cols[term.vars[0] - 1]
-            else:
-                acc ^= ones
+            acc ^= cols[term.vars[0] - 1] & cols[term.vars[-1] - 1] if term.vars else ones
         streams.append(acc)
 
     words = []

@@ -13,7 +13,7 @@ import logging
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from .anf import (
     SYSTEM_SIZE,
@@ -25,6 +25,7 @@ from .anf import (
 log = logging.getLogger(__name__)
 
 ASSET_ENV_VAR = "HFHASH_POLYNOMIALS"
+_SHIPPED_ASSET = Path(__file__).with_name("data") / "polynomials.txt"
 
 
 class SystemFormatError(ValueError):
@@ -32,7 +33,8 @@ class SystemFormatError(ValueError):
 
 
 class AssetError(ValueError):
-    """The ``HFHASH_POLYNOMIALS`` asset could not be read or parsed.
+    """The polynomial asset, shipped or the ``HFHASH_POLYNOMIALS``
+    override, could not be read or parsed.
 
     The message is ``<path>: <reason>``; the original error is the
     exception's ``__cause__``.
@@ -103,16 +105,13 @@ def load_system(text: str) -> PolynomialSystem:
 def load_default_system() -> PolynomialSystem:
     """The shipped system (or the ``HFHASH_POLYNOMIALS`` override), cached.
 
-    An override that cannot be read or parsed raises AssetError.
+    An asset that cannot be read or parsed raises AssetError.
     """
-    override = os.environ.get(ASSET_ENV_VAR)
-    if not override:
-        return load_system(
-            resources.files("hfhash.data").joinpath("polynomials.txt").read_text("utf-8"))
+    path = os.environ.get(ASSET_ENV_VAR) or _SHIPPED_ASSET
     try:
-        with open(override, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             return load_system(f.read())
     except OSError as exc:
-        raise AssetError(f"{override}: {exc.strerror or exc}") from exc
+        raise AssetError(f"{path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, PolynomialSyntaxError, SystemFormatError) as exc:
-        raise AssetError(f"{override}: {exc}") from exc
+        raise AssetError(f"{path}: {exc}") from exc

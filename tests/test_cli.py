@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from hfhash import core
+from hfhash import core, system
 from hfhash.analysis import DEFAULT_AVALANCHE_INPUT
 from hfhash.cli import main
 from hfhash.system import ASSET_ENV_VAR
@@ -128,6 +128,15 @@ def test_avalanche_bad_input_rejected(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("count", [56, 55])
+def test_avalanche_input_counts_hex_digits(runner, count):
+    # bytes.fromhex skips whitespace, which made 56 spaced bytes a valid
+    # block and 55 a message that counted the spaces as digits
+    result = runner.invoke(main, ["avalanche", "--input", " ".join(["00"] * count)])
+    assert result.exit_code == 2
+    assert "need exactly 112 hex digits" in result.output
+
+
 def test_avalanche_input_and_seed_conflict(runner):
     result = runner.invoke(main, ["avalanche", "--input", "00" * 56,
                                   "--seed", "3"])
@@ -145,10 +154,20 @@ def test_bench_rejects_bad_sizes(runner):
     assert runner.invoke(main, ["bench", "--sizes", "-5"]).exit_code == 2
 
 
-@pytest.mark.parametrize("size", [2**28, 10**20])
+@pytest.mark.parametrize("sizes", ["1_000", "\u0663", "7, 8", "+7", ""])
+def test_bench_sizes_are_ascii_digits(runner, sizes):
+    # int() accepts underscores, other scripts' digits and spaces
+    result = runner.invoke(main, ["bench", "--sizes", sizes])
+    assert result.exit_code == 2
+    assert "sizes must be nonnegative integers" in result.output
+
+
+@pytest.mark.parametrize("size", [str(2**28), str(10**20),
+                                  pytest.param("9" * 5000, id="5000-digits")])
 def test_bench_rejects_sizes_above_the_cap(runner, size):
-    # random.Random.randbytes cannot make 2**28 bytes on CPython 3.11
-    result = runner.invoke(main, ["bench", "--sizes", str(size)])
+    # random.Random.randbytes cannot make 2**28 bytes on CPython 3.11, and
+    # int() refuses more than 4300 digits
+    result = runner.invoke(main, ["bench", "--sizes", size])
     assert result.exit_code == 2
     assert f"sizes must be at most {2**28 - 1} bytes" in result.output
 
@@ -214,6 +233,17 @@ def test_overlong_polynomial_index_is_one_line_usage_error(runner, tmp_path, mon
     assert result.stdout == ""
     assert result.stderr == (f"hfhash: {asset}: line 1, col 3: "
                              "polynomial index of 5000 digits is too long\n")
+
+
+def test_missing_shipped_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+                                                       uncached_asset):
+    asset = tmp_path / "polynomials.txt"
+    monkeypatch.delenv(ASSET_ENV_VAR, raising=False)
+    monkeypatch.setattr(system, "_SHIPPED_ASSET", asset)
+    result = runner.invoke(main, ["sum"], input=b"a")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"hfhash: {asset}: No such file or directory\n"
 
 
 def test_missing_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfhash import evaluator
+from hfhash.anf import ONE, BooleanPolynomial, Monomial
 from hfhash.core import default_params
 from hfhash.evaluator import (
     CompiledSystem,
@@ -20,7 +21,7 @@ from hfhash.evaluator import (
     compile_system,
     eval_batch_bitsliced,
 )
-from hfhash.system import load_system
+from hfhash.system import PolynomialSystem, load_system
 
 inputs = st.integers(0, 2**64 - 1)
 EDGE_INPUTS = [0, 2**64 - 1] + [1 << i for i in range(64)]
@@ -60,14 +61,50 @@ def test_eval_at_zero_is_constant_word(system, compiled):
 
 
 def test_constant_word_agrees_on_a_mixed_system():
-    # y_1 = 1 has no variable term, so the term-sum evaluator pads it with
-    # a zero mask whose flip must stay out of its constant_word
+    # y_1 = 1 has no variable term; every evaluator's constant_word is p(0)
     system = _synthetic(lambda k: "1" if k == 1 else f"x_{{{k}}}")
     compiled, term_sum = compile_system(system), TermSumEvaluator(system)
     assert system.constant_word == 0x80000000
     assert compiled.constant_word == term_sum.constant_word == 0x80000000
     assert compiled.eval_word(0) == term_sum.eval_word(0) == 0x80000000
     assert eval_batch_bitsliced(system, [0]) == [0x80000000]
+
+
+def _edge_system():
+    """Every fourth polynomial is zero; the others are constant-only,
+    linear-only, or quadratic, linear and constant terms mixed."""
+    rng = random.Random(23)
+
+    def terms(k):
+        kind = k % 4
+        if kind == 0:
+            return set()
+        if kind == 1:
+            return {ONE}
+        linear = {Monomial((v,)) for v in rng.sample(range(1, 65), 5)}
+        if kind == 2:
+            return linear
+        quadratic = {Monomial(tuple(sorted(rng.sample(range(1, 65), 2))))
+                     for _ in range(20)}
+        return quadratic | linear | {ONE}
+
+    return PolynomialSystem(tuple(BooleanPolynomial(k, frozenset(terms(k)))
+                                  for k in range(1, 33)))
+
+
+def test_every_evaluator_agrees_on_an_edge_system(monkeypatch):
+    system = _edge_system()
+    native = compile_system(system)
+    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+    fallback = compile_system(system)
+    assert isinstance(fallback.eval_word, types.FunctionType)
+    term_sum = TermSumEvaluator(system)
+    rng = random.Random(29)
+    xs = EDGE_INPUTS + [rng.getrandbits(64) for _ in range(200)]
+    want = [system.eval_reference(x) for x in xs]
+    assert eval_batch_bitsliced(system, xs) == want
+    for ev in (native.eval_word, fallback.eval_word, term_sum.eval_word):
+        assert [ev(x) for x in xs] == want
 
 
 def test_compiled_matches_reference(system, compiled):
