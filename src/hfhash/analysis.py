@@ -19,8 +19,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import lru_cache
 
 from . import core
 from .core import (
@@ -54,8 +53,12 @@ MAX_BENCH_SIZE = (1 << 28) - 1
 DEFAULT_ORACLE_CAP = 1 << 20
 
 
-# set bits of each byte value, indexed by the byte
-_POPCOUNT8 = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+@lru_cache(maxsize=None)
+def _popcount8():
+    """Set bits of each byte value, indexed by the byte (a numpy array)."""
+    import numpy as np
+
+    return np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,8 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     words never enter a computation with that round count.  All 448
     flips run through a single ``core.expand`` call, one array lane each.
     """
+    import numpy as np
+
     check_rounds(rounds)
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
@@ -238,7 +243,7 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     w = core.expand(MessageBlock(words=tuple(lanes), is_last=(rule == "last")),
                     zero_chain)
     # bits set per byte of each lane, summed over the counted words
-    counts = np.take(_POPCOUNT8, np.stack(w[:rounds]).view(np.uint8)).sum(axis=0)
+    counts = np.take(_popcount8(), np.stack(w[:rounds]).view(np.uint8)).sum(axis=0)
     weights = counts.reshape(BLOCK_BITS, 4).sum(axis=1).tolist()
     return DiffusionReport(rounds=rounds, rule=rule,
                            per_position_weights=tuple(weights),

@@ -6,7 +6,10 @@ Three routes with identical semantics:
   Every monomial has degree at most 2, so once the 64-bit input is cut
   into chunks, each term touches at most two of them and the whole map
   folds into one bilinear table per chunk pair, built by one routine,
-  ``_pair_tables``, into one flat uint32 buffer.  The native ``_pmap``
+  ``_pair_tables``, into one flat buffer of native uint32 words.  It is
+  pure Python: a table row is one int of 32-bit lanes, so each doubling
+  step of the build is one big-int XOR, and the hash path never imports
+  numpy.  The native ``_pmap``
   extension (built from ``_pmap.c`` on first use, holding one view on
   the buffer) owns the chunk widths, ``CHUNK_WIDTHS``: ten chunks of 6
   bits and one of 4, so an evaluation is 55 lookups XORed together in
@@ -19,7 +22,8 @@ Three routes with identical semantics:
   constant's being 0; a term is satisfied iff ``x & mask == mask``).
   Slower, but its data layout is a straight transcription of the
   polynomial text, which makes it the natural cross-check and the
-  baseline for benchmarks.
+  baseline for benchmarks.  The one numpy user here; it imports numpy
+  when it is used.
 * ``eval_batch_bitsliced`` -- pure-python bitsliced term summation
   across a whole batch of inputs at once, used to sweep the two paths
   above against each other over large random samples.
@@ -34,16 +38,17 @@ import hashlib
 import logging
 import os
 import subprocess
+import sys
 import sysconfig
 import threading
+from array import array
 from contextlib import suppress
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
+from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
-
-import numpy as np
 
 from .anf import NUM_VARS, SYSTEM_SIZE
 from .system import PolynomialSystem
@@ -107,11 +112,11 @@ def _load_pmap():
         return module, how
 
 
-def _collect_masks(system: PolynomialSystem):
+def _collect_masks(system: PolynomialSystem) -> list[list[int]]:
     """Merge the 32 term sets into one 64x64 matrix of 32-bit output masks.
 
-    ``x_i x_j`` (i < j) lands in ``m[i-1, j-1]`` and ``x_i`` in
-    ``m[i-1, i-1]``; the constant terms are ``system.constant_word``.
+    ``x_i x_j`` (i < j) lands in ``m[i-1][j-1]`` and ``x_i`` in
+    ``m[i-1][i-1]``; the constant terms are ``system.constant_word``.
     """
     m = [[0] * NUM_VARS for _ in range(NUM_VARS)]
     for k, poly in enumerate(system.polys, start=1):
@@ -119,28 +124,41 @@ def _collect_masks(system: PolynomialSystem):
         for term in poly.terms:
             if term.vars:
                 m[term.vars[0] - 1][term.vars[-1] - 1] ^= out_bit
-    return np.array(m, dtype=np.uint32)
+    return m
 
 
-def _bilinear(mask: np.ndarray) -> np.ndarray:
-    """The ``(2**h, 2**w)`` table ``f[a, b]`` of an ``(h, w)`` mask block:
-    XOR of ``mask[s, r]`` over the set bits s of ``a`` and r of ``b``,
-    slot 0 being a chunk's most significant bit.
+def _lanes(words) -> int:
+    """``words`` as one int of 32-bit lanes, which ``to_bytes(4 * len(words),
+    sys.byteorder)`` turns back into native uint32 words in order."""
+    return int.from_bytes(array("I", words), sys.byteorder)
 
-    Built by doubling over the bits of each index in turn.
+
+def _linear(coeffs: list[int]) -> list[int]:
+    """The ``2**len(coeffs)`` words whose word b is the XOR of ``coeffs[r]``
+    over the set bits r of ``b``, slot 0 being its most significant bit."""
+    words = [0]
+    for c in reversed(coeffs):
+        words += [v ^ c for v in words]
+    return words
+
+
+def _bilinear(block: list[list[int]], base: int = 0) -> list[int]:
+    """The rows of the table ``f[a, b]`` of an ``h x w`` mask block, each
+    one int of ``2**w`` lanes (see ``_lanes``): ``base`` XOR ``block[s][r]``
+    over the set bits s of ``a`` and r of ``b``, slot 0 being a chunk's
+    most significant bit.
+
+    Built by doubling over the bits of ``a``, one big-int XOR per row.
     """
-    h, w = mask.shape
-    g = np.zeros((h, 1 << w), dtype=np.uint32)
-    for k in range(w):
-        g[:, 1 << k:2 << k] = g[:, :1 << k] ^ mask[:, w - 1 - k, None]
-    f = np.zeros((1 << h, 1 << w), dtype=np.uint32)
-    for k in range(h):
-        f[1 << k:2 << k] = f[:1 << k] ^ g[h - 1 - k]
-    return f
+    rows = [base]
+    for coeffs in reversed(block):
+        g = _lanes(_linear(coeffs))
+        rows += [f ^ g for f in rows]
+    return rows
 
 
-def _pair_tables(masks: np.ndarray, const: int, widths: tuple[int, ...]) -> np.ndarray:
-    """One flat uint32 buffer of chunk-pair tables for ``p``.
+def _pair_tables(masks: list[list[int]], const: int, widths: tuple[int, ...]) -> memoryview:
+    """One flat buffer of native uint32 chunk-pair tables for ``p``, read-only.
 
     The input is cut into chunks of ``widths`` bits, most significant
     first.  The table of chunk pair (t, u), t < u, is the bilinear form
@@ -148,33 +166,38 @@ def _pair_tables(masks: np.ndarray, const: int, widths: tuple[int, ...]) -> np.n
     the tables follow each other in (t, u) order.
     """
     n = len(widths)
-    edges = np.cumsum((0, *widths))
+    edges = list(accumulate(widths, initial=0))
     pairs = [(t, u) for t in range(n) for u in range(t + 1, n)]
 
     def block(t, u):
-        return masks[edges[t]:edges[t + 1], edges[u]:edges[u + 1]]
+        return [row[edges[u]:edges[u + 1]] for row in masks[edges[t]:edges[t + 1]]]
+
+    def diagonal(t):
+        # word a of row a of the chunk's own bilinear table
+        row_bytes = 4 << widths[t]
+        table = b"".join(f.to_bytes(row_bytes, sys.byteorder) for f in _bilinear(block(t, t)))
+        return memoryview(table).cast("I")[::(1 << widths[t]) + 1].tolist()
 
     # a chunk's own table (within-chunk pairs and linear terms) is the
     # diagonal of its bilinear table; it folds into a neighbouring pair
     # table, and the constant into the first, so that an evaluation is
-    # nothing but the pair lookups (copied, as a diagonal view would keep
-    # its whole base alive)
-    selfs = [np.diagonal(_bilinear(block(t, t))).copy() for t in range(n)]
-    tables = np.empty(sum(1 << (widths[t] + widths[u]) for t, u in pairs), dtype=np.uint32)
+    # nothing but the pair lookups
+    selfs = [diagonal(t) for t in range(n)]
+    buf = bytearray(4 * sum(1 << (widths[t] + widths[u]) for t, u in pairs))
     start = 0
     for t, u in pairs:
-        f = tables[start:start + (1 << (widths[t] + widths[u]))]
-        f = f.reshape(1 << widths[t], 1 << widths[u])
-        f[...] = _bilinear(block(t, u))
-        if u == t + 1:
-            f ^= selfs[t][:, None]
+        row_bytes = 4 << widths[u]
+        ones = _lanes([1] * (1 << widths[u]))  # times a word: that word in every lane
+        base = const * ones if start == 0 else 0
         if (t, u) == pairs[-1]:
-            f ^= selfs[u][None, :]
-        if start == 0:
-            f ^= np.uint32(const)
-        start += f.size
-    tables.flags.writeable = False
-    return tables
+            base ^= _lanes(selfs[u])
+        rows = _bilinear(block(t, u), base)
+        if u == t + 1:
+            rows = [f ^ s * ones for f, s in zip(rows, selfs[t])]
+        for f in rows:
+            buf[start:start + row_bytes] = f.to_bytes(row_bytes, sys.byteorder)
+            start += row_bytes
+    return memoryview(buf).cast("I").toreadonly()
 
 
 class CompiledSystem:
@@ -190,7 +213,7 @@ class CompiledSystem:
     shared freely across threads.
     """
 
-    def __init__(self, tables: np.ndarray, eval_word, source: PolynomialSystem,
+    def __init__(self, tables: memoryview, eval_word, source: PolynomialSystem,
                  constant_word: int):
         self._tables = tables
         self.eval_word = eval_word
@@ -200,14 +223,13 @@ class CompiledSystem:
     @staticmethod
     def _bind(tables):
         """The Python ``eval_word`` over the byte-pair tables, widths ``_BYTE_WIDTHS``."""
-        words = memoryview(tables).cast("B").cast("I")
         (c01, c02, c03, c04, c05, c06, c07,
          c12, c13, c14, c15, c16, c17,
          c23, c24, c25, c26, c27,
          c34, c35, c36, c37,
          c45, c46, c47,
          c56, c57,
-         c67) = (words[k << 16:(k + 1) << 16] for k in range(28))
+         c67) = (tables[k << 16:(k + 1) << 16] for k in range(28))
 
         def eval_word(x: int) -> int:
             b = x.to_bytes(8, "big")
@@ -255,6 +277,8 @@ class TermSumEvaluator:
     """
 
     def __init__(self, system: PolynomialSystem):
+        import numpy as np
+
         masks: list[int] = []
         starts: list[int] = []
         for poly in system.polys:
@@ -266,6 +290,8 @@ class TermSumEvaluator:
         self.constant_word = system.constant_word
 
     def eval_word(self, x: int) -> int:
+        import numpy as np
+
         satisfied = (np.uint64(x) & self._masks) == self._masks
         parity = np.add.reduceat(satisfied, self._starts) & 1
         return int.from_bytes(np.packbits(parity.astype(np.uint8)).tobytes(), "big")

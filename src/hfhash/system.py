@@ -26,6 +26,8 @@ log = logging.getLogger(__name__)
 
 ASSET_ENV_VAR = "HFHASH_POLYNOMIALS"
 _SHIPPED_ASSET = Path(__file__).with_name("data") / "polynomials.txt"
+# the most characters an asset may hold; the shipped one has 485,759
+MAX_ASSET_CHARS = 4 << 20
 
 
 class SystemFormatError(ValueError):
@@ -36,8 +38,8 @@ class AssetError(ValueError):
     """The polynomial asset, shipped or the ``HFHASH_POLYNOMIALS``
     override, could not be read or parsed.
 
-    The message is ``<path>: <reason>``; the original error is the
-    exception's ``__cause__``.
+    The message is ``<path>: <reason>``; the original error, if any, is
+    the exception's ``__cause__``.
     """
 
 
@@ -105,12 +107,17 @@ def load_system(text: str) -> PolynomialSystem:
 def load_default_system() -> PolynomialSystem:
     """The shipped system (or the ``HFHASH_POLYNOMIALS`` override), cached.
 
-    An asset that cannot be read or parsed raises AssetError.
+    An asset that cannot be read or parsed, or holds more than
+    ``MAX_ASSET_CHARS`` characters, raises AssetError; no more than one
+    character past the cap is read.
     """
     path = os.environ.get(ASSET_ENV_VAR) or _SHIPPED_ASSET
     try:
         with open(path, encoding="utf-8") as f:
-            return load_system(f.read())
+            text = f.read(MAX_ASSET_CHARS + 1)
+        if len(text) > MAX_ASSET_CHARS:
+            raise AssetError(f"{path}: more than {MAX_ASSET_CHARS} characters")
+        return load_system(text)
     except OSError as exc:
         raise AssetError(f"{path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, PolynomialSyntaxError, SystemFormatError) as exc:

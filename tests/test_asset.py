@@ -4,7 +4,15 @@ from importlib import resources
 import pytest
 
 from hfhash.anf import NUM_VARS, SYSTEM_SIZE, PolynomialSyntaxError
-from hfhash.system import SystemFormatError, PolynomialSystem, load_system
+from hfhash.system import (
+    ASSET_ENV_VAR,
+    MAX_ASSET_CHARS,
+    AssetError,
+    PolynomialSystem,
+    SystemFormatError,
+    load_default_system,
+    load_system,
+)
 
 # per-polynomial term counts of the shipped asset, frozen after an
 # independent text-splitting pass over the definitions
@@ -110,3 +118,36 @@ def test_parse_error_reports_line_number():
     with pytest.raises(PolynomialSyntaxError) as exc_info:
         load_system("\n".join(lines))
     assert "line 2" in str(exc_info.value)
+
+
+def _shipped_text():
+    return (resources.files("hfhash") / "data" / "polynomials.txt").read_text()
+
+
+def _load_uncached(monkeypatch, path):
+    monkeypatch.setenv(ASSET_ENV_VAR, str(path))
+    return load_default_system.__wrapped__()
+
+
+def test_asset_of_exactly_the_cap_loads(system, tmp_path, monkeypatch):
+    text = _shipped_text()
+    asset = tmp_path / "padded.txt"
+    asset.write_text(text + "#" * (MAX_ASSET_CHARS - len(text)))
+    assert asset.stat().st_size == MAX_ASSET_CHARS
+    assert _load_uncached(monkeypatch, asset) == system
+
+
+def test_asset_one_byte_over_the_cap_is_refused(tmp_path, monkeypatch):
+    text = _shipped_text()
+    asset = tmp_path / "padded.txt"
+    asset.write_text(text + "#" * (MAX_ASSET_CHARS + 1 - len(text)))
+    with pytest.raises(AssetError) as exc_info:
+        _load_uncached(monkeypatch, asset)
+    assert str(exc_info.value) == f"{asset}: more than {MAX_ASSET_CHARS} characters"
+
+
+def test_endless_asset_is_refused_after_the_cap(monkeypatch):
+    # /dev/zero never ends: the read stops one character past the cap
+    with pytest.raises(AssetError) as exc_info:
+        _load_uncached(monkeypatch, "/dev/zero")
+    assert str(exc_info.value) == f"/dev/zero: more than {MAX_ASSET_CHARS} characters"

@@ -3,10 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from hfhash import core, system
+from hfhash import cli, core, system
 from hfhash.analysis import DEFAULT_AVALANCHE_INPUT
 from hfhash.cli import main
-from hfhash.system import ASSET_ENV_VAR
+from hfhash.system import ASSET_ENV_VAR, MAX_ASSET_CHARS
 
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
 ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
@@ -205,10 +205,12 @@ def test_poly_rejects_bad_flags(runner):
 
 @pytest.fixture()
 def uncached_asset(monkeypatch):
-    # commands reach the asset through two cached loaders; bypass both so
-    # the environment variable is read again, and leave the caches intact
+    # commands reach the asset through two cached loaders, `poly` straight
+    # through the second; bypass both so the environment variable is read
+    # again, and leave the caches intact
     monkeypatch.setattr(core, "default_params", core.default_params.__wrapped__)
     monkeypatch.setattr(core, "load_default_system", core.load_default_system.__wrapped__)
+    monkeypatch.setattr(cli, "load_default_system", system.load_default_system.__wrapped__)
 
 
 def test_malformed_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
@@ -254,3 +256,18 @@ def test_missing_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"hfhash: {asset}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("source", ["over-cap-file", "dev-zero"])
+def test_oversized_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+                                                 uncached_asset, source):
+    if source == "dev-zero":
+        asset = "/dev/zero"
+    else:
+        asset = tmp_path / "big.txt"
+        asset.write_bytes(b"#" * (MAX_ASSET_CHARS + 1))
+    monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
+    result = runner.invoke(main, ["poly", "--index", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"hfhash: {asset}: more than {MAX_ASSET_CHARS} characters\n"

@@ -1,0 +1,66 @@
+"""The hash path and `hfhash sum` never import numpy, on either evaluator.
+
+Each case runs in a fresh interpreter, since this process has numpy
+loaded already.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hfhash
+from hfhash import evaluator
+
+ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
+A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
+
+# the child prints the digest of b"abc", the output of each command, the
+# type of the production eval_word and whether numpy was imported
+CHILD = """
+import sys
+import hfhash
+from hfhash import cli, evaluator
+if sys.argv[1] == "fallback":
+    evaluator._load_pmap = lambda: (None, "disabled by test")
+print(hfhash.hash_bytes(b"abc").hex())
+for args in sys.argv[2:]:
+    cli.main(args.split(), standalone_mode=False)
+print(type(hfhash.default_params().system.eval_word).__name__)
+print("numpy" in sys.modules)
+"""
+
+EVAL_WORD_TYPE = {"native": "builtin_function_or_method", "fallback": "function"}
+
+
+def _run_child(engine, *commands):
+    src = str(Path(hfhash.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", CHILD, engine, *commands],
+                            input=b"a", capture_output=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout.decode().splitlines()
+
+
+@pytest.fixture(params=sorted(EVAL_WORD_TYPE))
+def engine(request):
+    if request.param == "native" and shutil.which(evaluator._COMPILER) is None:
+        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
+                    "the Python closure is the only evaluator here")
+    return request.param
+
+
+def test_hash_path_and_sum_never_import_numpy(engine):
+    lines = _run_child(engine, "sum")
+    assert lines == [ABC_DIGEST, f"{A_DIGEST}  -", EVAL_WORD_TYPE[engine], "False"]
+
+
+def test_avalanche_never_imports_numpy(engine):
+    lines = _run_child(engine, "avalanche --rounds 32")
+    assert lines[0] == ABC_DIGEST
+    assert lines[1].startswith("avalanche")
+    assert lines[-2:] == [EVAL_WORD_TYPE[engine], "False"]

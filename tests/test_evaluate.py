@@ -1,10 +1,13 @@
+import hashlib
 import logging
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 import threading
 import types
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -260,6 +263,35 @@ def test_only_the_fallback_builds_byte_pair_tables(system, monkeypatch, built_wi
     fallback = compile_system(system)
     assert built_widths == [(8,) * 8]
     assert fallback._tables.nbytes == BYTE_TABLE_BYTES
+
+
+# SHA-256 of the shipped system's table buffers, words read little-endian,
+# recorded from the numpy builder the pure-Python one replaced
+TABLE_SHA256 = {
+    "native": (NATIVE_TABLE_BYTES,
+               "ac92db88f216c34760e287af2a55e17f1c91d98bc680de5585fe5eda38e6d6d3"),
+    "byte-pairs": (BYTE_TABLE_BYTES,
+                   "ec8ba95670f5a67f4aaf4842ed4edadc9cfec785ca582c32cdeafa255ea84733"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(TABLE_SHA256))
+def test_table_bytes_are_pinned(system, layout):
+    if layout == "native":
+        _need_compiler()
+        module, how = evaluator._load_pmap()
+        assert module is not None, how
+        widths = module.CHUNK_WIDTHS
+    else:
+        widths = evaluator._BYTE_WIDTHS
+    tables = evaluator._pair_tables(evaluator._collect_masks(system),
+                                    system.constant_word, widths)
+    words = array("I")
+    words.frombytes(memoryview(tables).cast("B"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    assert (words.itemsize * len(words), hashlib.sha256(words).hexdigest()) == \
+        TABLE_SHA256[layout]
 
 
 def test_native_source_compiles_without_warnings():
