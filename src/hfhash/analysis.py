@@ -19,11 +19,11 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from . import core
 from .core import (
     BLOCK_BYTES,
+    WORDS_PER_BLOCK,
     HfParams,
     MessageBlock,
     check_rounds,
@@ -33,7 +33,6 @@ from .core import (
 from .evaluator import CompiledSystem, TermSumEvaluator
 
 BLOCK_BITS = 8 * BLOCK_BYTES
-DIGEST_BITS = 256
 BUCKET_RADII = (5, 10, 15, 20)
 
 # random.Random(1).randbytes(56), frozen so reports are reproducible
@@ -51,14 +50,6 @@ MAX_BENCH_SIZE = (1 << 28) - 1
 # largest input the pure-Python term-sum path is timed on by default;
 # above this it is skipped (roughly 75 s per megabyte)
 DEFAULT_ORACLE_CAP = 1 << 20
-
-
-@lru_cache(maxsize=None)
-def _popcount8():
-    """Set bits of each byte value, indexed by the byte (a numpy array)."""
-    import numpy as np
-
-    return np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -224,27 +215,24 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     produced by a one-bit message flip is independent of the chaining
     words and of the rest of the message; they are held at zero here.
     Only the first ``rounds`` schedule words are counted, since later
-    words never enter a computation with that round count.  All 448
-    flips run through a single ``core.expand`` call, one array lane each.
-    """
-    import numpy as np
+    words never enter a computation with that round count.
 
+    Rotating every input word rotates every schedule word (see
+    ``core.expand``) and keeps its weight, so all 32 flips inside one
+    message word share a weight: one ``core.expand`` call per message
+    word, on a block holding just a 1 there, gives all 448.  Flip i lies
+    in byte ``i // 8``, which is in word ``i // 32``.
+    """
     check_rounds(rounds)
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
-    # one lane per flip: row i of `flips` is the block with only bit i set,
-    # read as 14 little-endian words like `parse_blocks`; `expand` then
-    # runs all 448 flips at once on uint32 arrays of lanes
-    bits = np.arange(BLOCK_BITS)
-    flips = np.zeros((BLOCK_BITS, BLOCK_BYTES), dtype=np.uint8)
-    flips[bits, bits // 8] = 1 << (7 - bits % 8)
-    lanes = np.ascontiguousarray(flips.view("<u4").T, dtype=np.uint32)
-    zero_chain = (np.zeros(BLOCK_BITS, dtype=np.uint32),) * 8
-    w = core.expand(MessageBlock(words=tuple(lanes), is_last=(rule == "last")),
-                    zero_chain)
-    # bits set per byte of each lane, summed over the counted words
-    counts = np.take(_popcount8(), np.stack(w[:rounds]).view(np.uint8)).sum(axis=0)
-    weights = counts.reshape(BLOCK_BITS, 4).sum(axis=1).tolist()
+    word_weights = []
+    for m in range(WORDS_PER_BLOCK):
+        block = MessageBlock(words=tuple(int(j == m) for j in range(WORDS_PER_BLOCK)),
+                             is_last=(rule == "last"))
+        w = core.expand(block, (0,) * 8)
+        word_weights.append(sum(x.bit_count() for x in w[:rounds]))
+    weights = [word_weights[i // 32] for i in range(BLOCK_BITS)]
     return DiffusionReport(rounds=rounds, rule=rule,
                            per_position_weights=tuple(weights),
                            min_weight=min(weights), max_weight=max(weights))

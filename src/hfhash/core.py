@@ -238,9 +238,9 @@ def expand(block: MessageBlock, chain: tuple[int, ...]) -> list[int]:
     16-word prefix.  That is the "shifted" last-block map, the only one
     that runs; `Hasher` refuses the "literal" one before any block.
 
-    Words may also be numpy ``uint32`` arrays of equal shape, the chain
-    words included: the recurrence then runs lane by lane and returns a
-    list of 64 such arrays.
+    Words are 32-bit ints.  The recurrence is XOR and one fixed rotation,
+    so rotating every input word by p rotates every schedule word by p;
+    `analysis.diffusion` relies on that.
     """
     if block.is_last:
         w = [chain[0], chain[7], *block.words]

@@ -22,7 +22,7 @@ Three routes with identical semantics:
   constant's being 0; a term is satisfied iff ``x & mask == mask``).
   Slower, but its data layout is a straight transcription of the
   polynomial text, which makes it the natural cross-check and the
-  baseline for benchmarks.  The one numpy user here; it imports numpy
+  baseline for benchmarks.  The package's one numpy user; it imports numpy
   when it is used.
 * ``eval_batch_bitsliced`` -- pure-python bitsliced term summation
   across a whole batch of inputs at once, used to sweep the two paths

@@ -1,4 +1,5 @@
-"""The hash path and `hfhash sum` never import numpy, on either evaluator.
+"""The hash path, `hfhash sum` and the analysis reports never import
+numpy, on either evaluator.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -63,4 +64,11 @@ def test_avalanche_never_imports_numpy(engine):
     lines = _run_child(engine, "avalanche --rounds 32")
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("avalanche")
+    assert lines[-2:] == [EVAL_WORD_TYPE[engine], "False"]
+
+
+def test_diffusion_never_imports_numpy(engine):
+    lines = _run_child(engine, "diffusion --rounds 48")
+    assert lines[0] == ABC_DIGEST
+    assert lines[1].startswith("schedule diffusion, 48 rounds")
     assert lines[-2:] == [EVAL_WORD_TYPE[engine], "False"]

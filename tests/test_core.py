@@ -214,6 +214,23 @@ def test_schedule_difference_ignores_context():
         assert diff == reference
 
 
+@pytest.mark.parametrize("is_last", [False, True])
+def test_rotating_every_input_word_rotates_the_schedule(is_last):
+    # XOR and a fixed rotation commute with rotation; `analysis.diffusion`
+    # computes one word's 32 flip weights from one expansion on this basis
+    rng = random.Random(5)
+    for _ in range(100):
+        words = tuple(rng.getrandbits(32) for _ in range(14))
+        chain = tuple(rng.getrandbits(32) for _ in range(8))
+        p = rng.randrange(1, 32)
+        w = expand(MessageBlock(words=words, is_last=is_last), chain)
+        rotated = expand(MessageBlock(words=tuple(rotl32(x, p) for x in words),
+                                      is_last=is_last),
+                         tuple(rotl32(x, p) for x in chain))
+        assert len(rotated) == 64
+        assert rotated == [rotl32(x, p) for x in w]
+
+
 # --- round function ---------------------------------------------------------
 
 def test_round_on_zero_system_keeps_zero_state():
