@@ -8,7 +8,6 @@ import sys
 
 import click
 
-from . import analysis
 from .core import BLOCK_BYTES, VALID_ROUNDS, Hasher, params_with, self_test
 from .system import AssetError, load_default_system
 
@@ -106,6 +105,8 @@ def cmd_selftest(rounds, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_avalanche(input_hex, seed, rounds, as_json):
     """Flip all 448 bits of a one-block message, tabulate distances."""
+    from . import analysis
+
     if input_hex is not None and seed is not None:
         raise click.UsageError("--input and --seed are mutually exclusive")
     if input_hex is not None:
@@ -131,6 +132,8 @@ def cmd_diffusion(rounds, rule, as_json):
     expected bound for the round count (at least 165 at 64 rounds,
     below 75 at 32 and 48); a violation exits nonzero.
     """
+    from . import analysis
+
     report = analysis.diffusion(rounds=int(rounds), rule=rule)
     _emit(report, as_json)
     if rule == "non-last":
@@ -156,6 +159,8 @@ def cmd_bench(sizes, as_json):
     oracle is only timed on inputs up to 1 MiB.  A size may be at most
     2**28 - 1 bytes.
     """
+    from . import analysis
+
     if sizes is None:
         size_list = analysis.DEFAULT_BENCH_SIZES
     else:

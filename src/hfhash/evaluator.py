@@ -16,7 +16,11 @@ Three routes with identical semantics:
   778,240 bytes of tables, which stay in L2.  When the extension cannot
   be built, a Python closure evaluates 28 byte-pair tables (widths
   ``_BYTE_WIDTHS``, 7.3 MB), which only this fallback builds: fewer
-  lookups suit Python better than a smaller buffer.
+  lookups suit Python better than a smaller buffer.  The buffer of a
+  system that ``load_default_system`` loaded is stored in the package's
+  cache (see ``_cache``), one entry per chunk widths, keyed by the
+  asset's SHA-256 and the package sources, and later compiles of the
+  same system read it back instead of building it.
 * ``TermSumEvaluator`` -- vectorized term-by-term summation operating
   directly on the parsed term list (one uint64 mask per term, the
   constant's being 0; a term is satisfied iff ``x & mask == mask``).
@@ -36,13 +40,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import subprocess
 import sys
 import sysconfig
 import threading
 from array import array
-from contextlib import suppress
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -50,6 +52,7 @@ from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
 
+from . import _cache
 from .anf import NUM_VARS, SYSTEM_SIZE
 from .system import PolynomialSystem
 
@@ -59,9 +62,8 @@ log = logging.getLogger(__name__)
 _BYTE_WIDTHS = (8,) * (NUM_VARS // 8)
 
 _PMAP_SOURCE = Path(__file__).with_name("_pmap.c")
-_CACHE_DIR = Path(__file__).with_name("__pycache__")
 _COMPILER = "cc"
-# threads of one process would share the temporary name of a build
+# one build per process: the threads that miss wait for the first one's
 _BUILD_LOCK = threading.Lock()
 
 
@@ -70,40 +72,33 @@ def _load_pmap():
     """The native ``_pmap`` module and how it was found, or None and why not.
 
     The extension is built once per source version into the package's
-    ``__pycache__`` as ``_pmap-<source sha256 prefix><suffix>``, written
-    under a per-process name and renamed into place, so concurrent first
-    uses cannot load a partial file.  ``lru_cache`` lets every thread that
-    misses run the body, so the threads of one process take turns: the
-    first builds, the rest find its build.  A new build removes the
-    builds of other source versions for this interpreter; a process that
-    has one loaded keeps its mapping.  Never raises: without a compiler,
-    a writable cache directory or a successful build, the caller falls
-    back to the Python evaluator.
+    cache (see ``_cache``) as ``_pmap-<source sha256 prefix><suffix>``,
+    so concurrent first uses cannot load a partial file, and a new build
+    removes the builds of other source versions for this interpreter; a
+    process that has one loaded keeps its mapping.  ``lru_cache`` lets
+    every thread that misses run the body, so the threads of one process
+    take turns: the first builds, the rest find its build.  Never raises:
+    without a compiler, a writable cache directory or a successful build,
+    the caller falls back to the Python evaluator.
     """
     with _BUILD_LOCK:
         try:
             digest = hashlib.sha256(_PMAP_SOURCE.read_bytes()).hexdigest()[:16]
-            target = _CACHE_DIR / f"_pmap-{digest}{EXTENSION_SUFFIXES[0]}"
+            suffix = EXTENSION_SUFFIXES[0]
+            target = _cache.path("_pmap", digest, suffix)
             if target.exists():
                 how = f"cached {target.name}"
             else:
-                t0 = perf_counter()
-                _CACHE_DIR.mkdir(exist_ok=True)
-                tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-                try:
+                def build(tmp):
                     subprocess.run(
                         [_COMPILER, "-O2", "-shared", "-fPIC",
                          "-I" + sysconfig.get_paths()["include"],
                          str(_PMAP_SOURCE), "-o", str(tmp)],
                         check=True, capture_output=True, timeout=120)
-                    os.replace(tmp, target)
-                finally:
-                    tmp.unlink(missing_ok=True)
+
+                t0 = perf_counter()
+                _cache.publish("_pmap", digest, build, suffix)
                 how = f"built {target.name} in {perf_counter() - t0:.2f} s"
-                for stale in _CACHE_DIR.glob(f"_pmap-*{EXTENSION_SUFFIXES[0]}"):
-                    if stale != target:
-                        with suppress(OSError):
-                            stale.unlink()
             loader = ExtensionFileLoader("hfhash._pmap", str(target))
             module = module_from_spec(spec_from_loader(loader.name, loader))
             loader.exec_module(module)
@@ -250,20 +245,33 @@ class CompiledSystem:
         return eval_word
 
 
+def _tables(system: PolynomialSystem, widths: tuple[int, ...]) -> tuple[memoryview, str]:
+    """``_pair_tables`` of ``system`` for ``widths``, and a note on where
+    they came from: the cache, for a system that ``load_default_system``
+    loaded (it carries its asset's SHA-256), or a fresh build."""
+    def build():
+        return _pair_tables(_collect_masks(system), system.constant_word, widths)
+
+    if system.asset_sha256 is None:
+        return build(), "tables built"
+    return _cache.cached("tables-" + "_".join(map(str, widths)), system.asset_sha256,
+                         build, decode=lambda payload: payload.cast("I"))
+
+
 def compile_system(system: PolynomialSystem) -> CompiledSystem:
-    """Precompute the pair tables of the evaluator that loads.  Deterministic
-    in the system."""
-    masks, const = _collect_masks(system), system.constant_word
+    """Precompute the pair tables of the evaluator that loads, or read
+    them from the cache.  Deterministic in the system."""
     pmap, how = _load_pmap()
     if pmap is not None:
-        tables = _pair_tables(masks, const, pmap.CHUNK_WIDTHS)
+        tables, source = _tables(system, pmap.CHUNK_WIDTHS)
         eval_word = pmap.Evaluator(tables).eval_word
-        log.debug("eval_word: native _pmap evaluator (%s)", how)
+        log.debug("eval_word: native _pmap evaluator (%s); %s", how, source)
     else:
-        tables = _pair_tables(masks, const, _BYTE_WIDTHS)
+        tables, source = _tables(system, _BYTE_WIDTHS)
         eval_word = CompiledSystem._bind(tables)
-        log.debug("eval_word: python closure (%s)", how)
-    return CompiledSystem(tables, eval_word, source=system, constant_word=const)
+        log.debug("eval_word: python closure (%s); %s", how, source)
+    return CompiledSystem(tables, eval_word, source=system,
+                          constant_word=system.constant_word)
 
 
 class TermSumEvaluator:

@@ -5,19 +5,29 @@ rather than as code literals, so the parser stays the single source of
 truth and the asset can be audited by independent text splitting.  The
 environment variable ``HFHASH_POLYNOMIALS`` may point at an alternate
 asset file for research use.
+
+``load_default_system`` keeps each system it parses in the package's
+cache (see ``_cache``), keyed by the SHA-256 of the asset text and of
+the package sources, as a list of 16-bit term words; a later load of the
+same text builds the system from that list instead of parsing, and the
+system carries the text's SHA-256, which keys its compiled tables.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
+from . import _cache
 from .anf import (
     SYSTEM_SIZE,
     BooleanPolynomial,
+    Monomial,
     PolynomialSyntaxError,
     parse_polynomial,
 )
@@ -45,9 +55,16 @@ class AssetError(ValueError):
 
 @dataclass(frozen=True)
 class PolynomialSystem:
-    """Exactly 32 polynomials; position k-1 holds index k."""
+    """Exactly 32 polynomials; position k-1 holds index k.
+
+    ``asset_sha256`` is the SHA-256 of the asset text the system was
+    loaded from by ``load_default_system``, which keys its cached tables;
+    it is None for a system made any other way, and takes no part in
+    equality.
+    """
 
     polys: tuple[BooleanPolynomial, ...]
+    asset_sha256: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.polys) != SYSTEM_SIZE:
@@ -103,22 +120,64 @@ def load_system(text: str) -> PolynomialSystem:
     return system
 
 
+def _term_word(term: Monomial) -> int:
+    """``i << 8 | j`` for x_i x_j, ``i << 8`` for x_i, 0 for the constant."""
+    i, j = (*term.vars, 0, 0)[:2]
+    return i << 8 | j
+
+
+def _to_words(system: PolynomialSystem) -> array:
+    """The system as native uint16 words: the 32 term counts, then every
+    polynomial's terms as ``_term_word``s."""
+    words = array("H", [poly.term_count for poly in system.polys])
+    for poly in system.polys:
+        words.extend(map(_term_word, poly.terms))
+    return words
+
+
+def _from_words(words: memoryview, asset_sha256: str) -> PolynomialSystem:
+    """The system that ``_to_words`` wrote, one `Monomial` per distinct term."""
+    terms = {w: Monomial(tuple(v for v in (w >> 8, w & 0xFF) if v))
+             for w in set(words[SYSTEM_SIZE:])}
+    polys = []
+    start = SYSTEM_SIZE
+    for k, count in enumerate(words[:SYSTEM_SIZE], start=1):
+        polys.append(BooleanPolynomial(
+            k, frozenset(map(terms.__getitem__, words[start:start + count]))))
+        start += count
+    return PolynomialSystem(tuple(polys), asset_sha256=asset_sha256)
+
+
 @lru_cache(maxsize=None)
 def load_default_system() -> PolynomialSystem:
     """The shipped system (or the ``HFHASH_POLYNOMIALS`` override), cached.
 
     An asset that cannot be read or parsed, or holds more than
     ``MAX_ASSET_CHARS`` characters, raises AssetError; no more than one
-    character past the cap is read.
+    character past the cap is read.  A text parsed before, by this
+    version of the package, is built from its cache entry instead; an
+    entry that is missing, corrupted or cannot be written only costs a
+    parse.
     """
     path = os.environ.get(ASSET_ENV_VAR) or _SHIPPED_ASSET
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read(MAX_ASSET_CHARS + 1)
-        if len(text) > MAX_ASSET_CHARS:
-            raise AssetError(f"{path}: more than {MAX_ASSET_CHARS} characters")
-        return load_system(text)
     except OSError as exc:
         raise AssetError(f"{path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, PolynomialSyntaxError, SystemFormatError) as exc:
+    except UnicodeDecodeError as exc:
         raise AssetError(f"{path}: {exc}") from exc
+    if len(text) > MAX_ASSET_CHARS:
+        raise AssetError(f"{path}: more than {MAX_ASSET_CHARS} characters")
+
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    try:
+        system, note = _cache.cached(
+            "system", sha,
+            build=lambda: replace(load_system(text), asset_sha256=sha),
+            decode=lambda payload: _from_words(payload.cast("H"), sha),
+            encode=_to_words)
+    except (PolynomialSyntaxError, SystemFormatError) as exc:
+        raise AssetError(f"{path}: {exc}") from exc
+    log.debug("%s", note)
+    return system

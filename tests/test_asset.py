@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from hfhash import _cache
 from hfhash.anf import NUM_VARS, SYSTEM_SIZE, PolynomialSyntaxError
 from hfhash.system import (
     ASSET_ENV_VAR,
@@ -124,7 +125,9 @@ def _shipped_text():
     return (resources.files("hfhash") / "data" / "polynomials.txt").read_text()
 
 
-def _load_uncached(monkeypatch, path):
+def _load_uncached(monkeypatch, tmp_path, path):
+    # stored in a cache of its own, so that the package's entries stay
+    monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
     monkeypatch.setenv(ASSET_ENV_VAR, str(path))
     return load_default_system.__wrapped__()
 
@@ -134,7 +137,7 @@ def test_asset_of_exactly_the_cap_loads(system, tmp_path, monkeypatch):
     asset = tmp_path / "padded.txt"
     asset.write_text(text + "#" * (MAX_ASSET_CHARS - len(text)))
     assert asset.stat().st_size == MAX_ASSET_CHARS
-    assert _load_uncached(monkeypatch, asset) == system
+    assert _load_uncached(monkeypatch, tmp_path, asset) == system
 
 
 def test_asset_one_byte_over_the_cap_is_refused(tmp_path, monkeypatch):
@@ -142,12 +145,12 @@ def test_asset_one_byte_over_the_cap_is_refused(tmp_path, monkeypatch):
     asset = tmp_path / "padded.txt"
     asset.write_text(text + "#" * (MAX_ASSET_CHARS + 1 - len(text)))
     with pytest.raises(AssetError) as exc_info:
-        _load_uncached(monkeypatch, asset)
+        _load_uncached(monkeypatch, tmp_path, asset)
     assert str(exc_info.value) == f"{asset}: more than {MAX_ASSET_CHARS} characters"
 
 
-def test_endless_asset_is_refused_after_the_cap(monkeypatch):
+def test_endless_asset_is_refused_after_the_cap(tmp_path, monkeypatch):
     # /dev/zero never ends: the read stops one character past the cap
     with pytest.raises(AssetError) as exc_info:
-        _load_uncached(monkeypatch, "/dev/zero")
+        _load_uncached(monkeypatch, tmp_path, "/dev/zero")
     assert str(exc_info.value) == f"/dev/zero: more than {MAX_ASSET_CHARS} characters"

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from hfhash import cli, core, system
+from hfhash import _cache, cli, core, system
 from hfhash.analysis import DEFAULT_AVALANCHE_INPUT
 from hfhash.cli import main
 from hfhash.system import ASSET_ENV_VAR, MAX_ASSET_CHARS
@@ -204,10 +204,12 @@ def test_poly_rejects_bad_flags(runner):
 
 
 @pytest.fixture()
-def uncached_asset(monkeypatch):
+def uncached_asset(monkeypatch, tmp_path):
     # commands reach the asset through two cached loaders, `poly` straight
     # through the second; bypass both so the environment variable is read
-    # again, and leave the caches intact
+    # again, and leave the caches intact; an asset loaded here is stored
+    # in a cache of its own, so that the package's entries stay
+    monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
     monkeypatch.setattr(core, "default_params", core.default_params.__wrapped__)
     monkeypatch.setattr(core, "load_default_system", core.load_default_system.__wrapped__)
     monkeypatch.setattr(cli, "load_default_system", system.load_default_system.__wrapped__)

@@ -1,5 +1,6 @@
 """The hash path, `hfhash sum` and the analysis reports never import
-numpy, on either evaluator.
+numpy, on either evaluator, and `hfhash sum` never imports the analysis
+module.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -20,7 +21,8 @@ ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
 
 # the child prints the digest of b"abc", the output of each command, the
-# type of the production eval_word and whether numpy was imported
+# type of the production eval_word and whether numpy and hfhash.analysis
+# were imported
 CHILD = """
 import sys
 import hfhash
@@ -32,6 +34,7 @@ for args in sys.argv[2:]:
     cli.main(args.split(), standalone_mode=False)
 print(type(hfhash.default_params().system.eval_word).__name__)
 print("numpy" in sys.modules)
+print("hfhash.analysis" in sys.modules)
 """
 
 EVAL_WORD_TYPE = {"native": "builtin_function_or_method", "fallback": "function"}
@@ -57,18 +60,18 @@ def engine(request):
 
 def test_hash_path_and_sum_never_import_numpy(engine):
     lines = _run_child(engine, "sum")
-    assert lines == [ABC_DIGEST, f"{A_DIGEST}  -", EVAL_WORD_TYPE[engine], "False"]
+    assert lines == [ABC_DIGEST, f"{A_DIGEST}  -", EVAL_WORD_TYPE[engine], "False", "False"]
 
 
 def test_avalanche_never_imports_numpy(engine):
     lines = _run_child(engine, "avalanche --rounds 32")
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("avalanche")
-    assert lines[-2:] == [EVAL_WORD_TYPE[engine], "False"]
+    assert lines[-3:] == [EVAL_WORD_TYPE[engine], "False", "True"]
 
 
 def test_diffusion_never_imports_numpy(engine):
     lines = _run_child(engine, "diffusion --rounds 48")
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("schedule diffusion, 48 rounds")
-    assert lines[-2:] == [EVAL_WORD_TYPE[engine], "False"]
+    assert lines[-3:] == [EVAL_WORD_TYPE[engine], "False", "True"]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfhash import evaluator
+from hfhash import _cache, evaluator
 from hfhash.anf import ONE, BooleanPolynomial, Monomial
 from hfhash.core import default_params
 from hfhash.evaluator import (
@@ -235,8 +235,10 @@ def test_native_evaluator_rejects_a_wrong_buffer(dtype, count):
 
 
 @pytest.fixture()
-def built_widths(monkeypatch):
-    """The chunk widths of every table buffer built while the test runs."""
+def built_widths(monkeypatch, tmp_path):
+    """The chunk widths of every table buffer built while the test runs,
+    from an empty cache."""
+    monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
     widths = []
 
     def spy(masks, const, chunk_widths):
@@ -275,8 +277,18 @@ TABLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("layout", sorted(TABLE_SHA256))
-def test_table_bytes_are_pinned(system, layout):
+def _table_sha256(tables):
+    words = array("I")
+    words.frombytes(memoryview(tables).cast("B"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.itemsize * len(words), hashlib.sha256(words).hexdigest()
+
+
+@pytest.mark.parametrize("layout, cached", [
+    ("byte-pairs", False), ("native", False), ("byte-pairs", True), ("native", True),
+], ids=["byte-pairs", "native", "byte-pairs-cached", "native-cached"])
+def test_table_bytes_are_pinned(system, layout, cached, tmp_path, monkeypatch):
     if layout == "native":
         _need_compiler()
         module, how = evaluator._load_pmap()
@@ -284,14 +296,19 @@ def test_table_bytes_are_pinned(system, layout):
         widths = module.CHUNK_WIDTHS
     else:
         widths = evaluator._BYTE_WIDTHS
-    tables = evaluator._pair_tables(evaluator._collect_masks(system),
-                                    system.constant_word, widths)
-    words = array("I")
-    words.frombytes(memoryview(tables).cast("B"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    assert (words.itemsize * len(words), hashlib.sha256(words).hexdigest()) == \
-        TABLE_SHA256[layout]
+    if not cached:
+        tables = evaluator._pair_tables(evaluator._collect_masks(system),
+                                        system.constant_word, widths)
+        assert _table_sha256(tables) == TABLE_SHA256[layout]
+        return
+    # the production buffer, built and stored on a miss, then read back
+    if layout == "byte-pairs":
+        monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+    monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
+    for path in ("miss", "hit"):
+        tables = default_params.__wrapped__().system._tables
+        assert isinstance(tables.obj, bytes if path == "hit" else bytearray), path
+        assert _table_sha256(tables) == TABLE_SHA256[layout], path
 
 
 def test_native_source_compiles_without_warnings():
@@ -317,10 +334,10 @@ def test_native_build_failure_falls_back_to_closure(
     if broken == "no_compiler":
         monkeypatch.setattr(evaluator, "_COMPILER", str(tmp_path / "no-such-cc"))
         # an empty cache, so that the loader has to build
-        monkeypatch.setattr(evaluator, "_CACHE_DIR", tmp_path / "__pycache__")
+        monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
     else:
         (tmp_path / "file").write_bytes(b"")
-        monkeypatch.setattr(evaluator, "_CACHE_DIR", tmp_path / "file" / "__pycache__")
+        monkeypatch.setattr(_cache, "DIR", tmp_path / "file" / "__pycache__")
     caplog.set_level(logging.DEBUG, logger=evaluator.__name__)
     fallback = compile_system(system)
     records = [r for r in caplog.records if r.name == evaluator.__name__]
@@ -338,7 +355,7 @@ def test_new_build_prunes_stale_builds(tmp_path, monkeypatch, fresh_loader):
     cache = tmp_path / "__pycache__"
     cache.mkdir()
     (cache / f"_pmap-0000000000000000{suffix}").write_bytes(b"stale")
-    monkeypatch.setattr(evaluator, "_CACHE_DIR", cache)
+    monkeypatch.setattr(_cache, "DIR", cache)
     module, how = evaluator._load_pmap()
     assert module is not None, how
     assert how.startswith("built ")
@@ -366,10 +383,10 @@ def test_two_threads_building_at_once_both_load_the_module(
         tmp_path, monkeypatch, fresh_loader):
     _need_compiler()
     cache = tmp_path / "__pycache__"
-    monkeypatch.setattr(evaluator, "_CACHE_DIR", cache)
+    monkeypatch.setattr(_cache, "DIR", cache)
     # The first build is held open, its output written, until the second
-    # thread has either started a build of its own (the two then share a
-    # temporary file) or is waiting for the first to finish.
+    # thread has either started a build of its own (the two then publish
+    # the same entry) or is waiting for the first to finish.
     second = threading.Event()
     first_built = threading.Event()
     second_built = threading.Event()
