@@ -1,4 +1,5 @@
-/* Native `eval_word` over the chunk-pair tables of `compile_system`.
+/* Native `eval_word` over the chunk-pair tables of `compile_system`, and
+ * the message schedule of `core.expand`.
  *
  * The 64 input bits are cut into the chunks of CHUNK_WIDTHS, most
  * significant first: ten of 6 bits and one of 4.  Every term of `p` has
@@ -15,6 +16,12 @@
  * the buffer cannot be resized while it lives.  The module exports the
  * widths as `CHUNK_WIDTHS`, from which `evaluator.compile_system` builds
  * the buffer; `evaluator._load_pmap` builds this file on first use.
+ *
+ * `schedule(prefix)` runs the schedule recurrence of `core._schedule`,
+ * the Python spec it is tested against, on the 16-word prefix that
+ * `core.expand` lays out, and returns all 64 words.  A word outside
+ * [0, 2**32) is an OverflowError, never truncated.  The recurrence
+ * itself is the inline `schedule()`, for a future whole-block kernel.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -40,6 +47,19 @@ pmap(const uint32_t *t, uint64_t x)
             t += (size_t)1 << (CHUNK_WIDTHS[i] + CHUNK_WIDTHS[j]);
         }
     return acc;
+}
+
+#define PREFIX_WORDS 16
+#define SCHEDULE_WORDS 64
+
+/* W_j = rotl3(W_{j-16} ^ W_{j-14} ^ W_{j-8} ^ W_{j-1}) past the prefix */
+static inline void
+schedule(uint32_t w[SCHEDULE_WORDS])
+{
+    for (int j = PREFIX_WORDS; j < SCHEDULE_WORDS; j++) {
+        uint32_t x = w[j - 16] ^ w[j - 14] ^ w[j - 8] ^ w[j - 1];
+        w[j] = x << 3 | x >> 29;
+    }
 }
 
 /* the number of words in all the pair tables */
@@ -122,11 +142,63 @@ static PyTypeObject EvaluatorType = {
     .tp_new = Evaluator_new,
 };
 
+static PyObject *
+pmap_schedule(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    PyObject *seq = PySequence_Fast(arg, "schedule() takes a sequence of ints");
+    if (seq == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(seq) != PREFIX_WORDS) {
+        PyErr_Format(PyExc_ValueError, "schedule() takes %d words, got %zd",
+                     PREFIX_WORDS, PySequence_Fast_GET_SIZE(seq));
+        Py_DECREF(seq);
+        return NULL;
+    }
+    uint32_t w[SCHEDULE_WORDS];
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (int j = 0; j < PREFIX_WORDS; j++) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(items[j], &overflow);
+        if (v == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+        if (overflow || v < 0 || v > UINT32_MAX) {
+            PyErr_Format(PyExc_OverflowError,
+                         "schedule word %R outside [0, 2**32)", items[j]);
+            Py_DECREF(seq);
+            return NULL;
+        }
+        w[j] = (uint32_t)v;
+    }
+    Py_DECREF(seq);
+    schedule(w);
+    PyObject *out = PyList_New(SCHEDULE_WORDS);
+    if (out == NULL)
+        return NULL;
+    for (int j = 0; j < SCHEDULE_WORDS; j++) {
+        PyObject *word = PyLong_FromUnsignedLong(w[j]);
+        if (word == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, j, word);
+    }
+    return out;
+}
+
+static PyMethodDef pmap_methods[] = {
+    {"schedule", pmap_schedule, METH_O,
+     "schedule(prefix) -> the 64 schedule words of a 16-word prefix"},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef pmap_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_pmap",
-    .m_doc = "Native chunk-pair table evaluator.",
+    .m_doc = "Native chunk-pair table evaluator and message schedule.",
     .m_size = -1,
+    .m_methods = pmap_methods,
 };
 
 static PyObject *

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 
@@ -52,6 +51,7 @@ def _hex_bytes(text: str, n: int, param_hint: str) -> bytes:
 
 def _emit(report, as_json: bool) -> None:
     if as_json:
+        import json
         click.echo(json.dumps(report.to_dict(), indent=2))
     else:
         click.echo(report.format_text())
@@ -190,6 +190,8 @@ def cmd_bench(sizes, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_poly(index, eval_hex, stats, as_json):
     """Inspect one polynomial of the shipped system."""
+    import json
+
     if eval_hex is not None and stats:
         raise click.UsageError("--eval and --stats are mutually exclusive")
     system = load_default_system()

@@ -20,6 +20,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
+from . import evaluator
 from .evaluator import compile_system
 from .system import load_default_system
 
@@ -238,15 +239,29 @@ def expand(block: MessageBlock, chain: tuple[int, ...]) -> list[int]:
     16-word prefix.  That is the "shifted" last-block map, the only one
     that runs; `Hasher` refuses the "literal" one before any block.
 
-    Words are 32-bit ints.  The recurrence is XOR and one fixed rotation,
-    so rotating every input word by p rotates every schedule word by p;
+    The recurrence runs in the native ``_pmap.schedule`` when the
+    extension loads (looked up on every call, so a test that disables
+    it runs Python), otherwise in `_schedule`, its spec.  Words are
+    32-bit ints; either engine raises OverflowError for one outside
+    ``[0, 2**32)``.  The recurrence is XOR and one fixed rotation, so
+    rotating every input word by p rotates every schedule word by p;
     `analysis.diffusion` relies on that.
     """
     if block.is_last:
-        w = [chain[0], chain[7], *block.words]
+        prefix = [chain[0], chain[7], *block.words]
     else:
-        w = [chain[0], *block.words, chain[7]]
-    w.extend([0] * (SCHEDULE_LEN - 16))
+        prefix = [chain[0], *block.words, chain[7]]
+    pmap = evaluator._load_pmap()[0]
+    return pmap.schedule(prefix) if pmap is not None else _schedule(prefix)
+
+
+def _schedule(prefix: list[int]) -> list[int]:
+    """The 64 schedule words of a 16-word prefix, in Python:
+    W_j = rotl3(W_{j-16} ^ W_{j-14} ^ W_{j-8} ^ W_{j-1})."""
+    if min(prefix) < 0 or max(prefix) > MASK32:
+        bad = next(x for x in prefix if not 0 <= x <= MASK32)
+        raise OverflowError(f"schedule word {bad!r} outside [0, 2**32)")
+    w = prefix + [0] * (SCHEDULE_LEN - 16)
     for j in range(16, SCHEDULE_LEN):
         x = w[j - 16] ^ w[j - 14] ^ w[j - 8] ^ w[j - 1]
         w[j] = ((x << 3) | (x >> 29)) & MASK32

@@ -40,9 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import subprocess
 import sys
-import sysconfig
 import threading
 from array import array
 from functools import lru_cache
@@ -89,22 +87,32 @@ def _load_pmap():
             if target.exists():
                 how = f"cached {target.name}"
             else:
-                def build(tmp):
-                    subprocess.run(
-                        [_COMPILER, "-O2", "-shared", "-fPIC",
-                         "-I" + sysconfig.get_paths()["include"],
-                         str(_PMAP_SOURCE), "-o", str(tmp)],
-                        check=True, capture_output=True, timeout=120)
-
                 t0 = perf_counter()
-                _cache.publish("_pmap", digest, build, suffix)
+                _cache.publish("_pmap", digest, _compile, suffix)
                 how = f"built {target.name} in {perf_counter() - t0:.2f} s"
             loader = ExtensionFileLoader("hfhash._pmap", str(target))
             module = module_from_spec(spec_from_loader(loader.name, loader))
             loader.exec_module(module)
-        except (OSError, ImportError, subprocess.SubprocessError) as exc:
+        except (OSError, ImportError) as exc:
             return None, f"native build unavailable: {exc}"
         return module, how
+
+
+def _compile(target) -> None:
+    """Compile ``_pmap.c`` into the shared library ``target``; a compiler
+    that fails or hangs is an OSError.  Its modules are imported here, so
+    a start that finds the build cached never loads them."""
+    import subprocess
+    import sysconfig
+
+    try:
+        subprocess.run(
+            [_COMPILER, "-O2", "-shared", "-fPIC",
+             "-I" + sysconfig.get_paths()["include"],
+             str(_PMAP_SOURCE), "-o", str(target)],
+            check=True, capture_output=True, timeout=120)
+    except subprocess.SubprocessError as exc:
+        raise OSError(exc) from exc
 
 
 def _collect_masks(system: PolynomialSystem) -> list[list[int]]:

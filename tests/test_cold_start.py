@@ -1,6 +1,7 @@
 """The hash path, `hfhash sum` and the analysis reports never import
-numpy, on either evaluator, and `hfhash sum` never imports the analysis
-module.
+numpy, on either evaluator; `hfhash sum` never imports the analysis
+module, and a start that finds the native build cached never imports
+`subprocess`.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -21,8 +22,8 @@ ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
 
 # the child prints the digest of b"abc", the output of each command, the
-# type of the production eval_word and whether numpy and hfhash.analysis
-# were imported
+# type of the production eval_word and whether numpy, hfhash.analysis and
+# subprocess were imported
 CHILD = """
 import sys
 import hfhash
@@ -35,6 +36,7 @@ for args in sys.argv[2:]:
 print(type(hfhash.default_params().system.eval_word).__name__)
 print("numpy" in sys.modules)
 print("hfhash.analysis" in sys.modules)
+print("subprocess" in sys.modules)
 """
 
 EVAL_WORD_TYPE = {"native": "builtin_function_or_method", "fallback": "function"}
@@ -52,26 +54,32 @@ def _run_child(engine, *commands):
 
 @pytest.fixture(params=sorted(EVAL_WORD_TYPE))
 def engine(request):
-    if request.param == "native" and shutil.which(evaluator._COMPILER) is None:
-        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
-                    "the Python closure is the only evaluator here")
+    if request.param == "native":
+        if shutil.which(evaluator._COMPILER) is None:
+            pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
+                        "the Python closure is the only evaluator here")
+        # the child's start is warm: the build is in the package's cache,
+        # whatever cache this process's loader used first
+        module, how = evaluator._load_pmap.__wrapped__()
+        assert module is not None, how
     return request.param
 
 
 def test_hash_path_and_sum_never_import_numpy(engine):
     lines = _run_child(engine, "sum")
-    assert lines == [ABC_DIGEST, f"{A_DIGEST}  -", EVAL_WORD_TYPE[engine], "False", "False"]
+    assert lines == [ABC_DIGEST, f"{A_DIGEST}  -", EVAL_WORD_TYPE[engine],
+                     "False", "False", "False"]
 
 
 def test_avalanche_never_imports_numpy(engine):
     lines = _run_child(engine, "avalanche --rounds 32")
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("avalanche")
-    assert lines[-3:] == [EVAL_WORD_TYPE[engine], "False", "True"]
+    assert lines[-4:] == [EVAL_WORD_TYPE[engine], "False", "True", "False"]
 
 
 def test_diffusion_never_imports_numpy(engine):
     lines = _run_child(engine, "diffusion --rounds 48")
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("schedule diffusion, 48 rounds")
-    assert lines[-3:] == [EVAL_WORD_TYPE[engine], "False", "True"]
+    assert lines[-4:] == [EVAL_WORD_TYPE[engine], "False", "True", "False"]

@@ -1,11 +1,12 @@
 import random
+import shutil
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfhash import core
+from hfhash import core, evaluator
 from hfhash.core import (
     BLOCK_BYTES,
     CANONICAL_LAYOUT,
@@ -229,6 +230,75 @@ def test_rotating_every_input_word_rotates_the_schedule(is_last):
                          tuple(rotl32(x, p) for x in chain))
         assert len(rotated) == 64
         assert rotated == [rotl32(x, p) for x in w]
+
+
+def _native_schedule():
+    """`_pmap.schedule`, or a skip where nothing can be built."""
+    if shutil.which(evaluator._COMPILER) is None:
+        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
+                    "core._schedule is the only schedule here")
+    module, how = evaluator._load_pmap()
+    assert module is not None, how
+    return module.schedule
+
+
+def _disable_native(monkeypatch):
+    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+
+
+@pytest.fixture(params=["native", "python"])
+def schedule_engine(request, monkeypatch):
+    """`expand` runs on `_pmap.schedule`, or on `core._schedule` with the
+    extension disabled."""
+    if request.param == "native":
+        _native_schedule()
+    else:
+        _disable_native(monkeypatch)
+    return request.param
+
+
+@pytest.mark.parametrize("word", [2**32, -1, 2**64], ids=["2**32", "-1", "2**64"])
+def test_out_of_range_words_overflow_on_both_engines(schedule_engine, word):
+    outside = r"schedule word -?\d+ outside \[0, 2\*\*32\)"
+    with pytest.raises(OverflowError, match=outside):
+        expand(MessageBlock(words=(word,) + (0,) * 13), IV)
+    with pytest.raises(OverflowError, match=outside):
+        expand(MessageBlock(words=(0,) * 14, is_last=True), IV[:7] + (word,))
+
+
+words32 = st.one_of(st.sampled_from([0, MASK32]), st.integers(0, MASK32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(words32, min_size=16, max_size=16))
+def test_native_schedule_matches_python(prefix):
+    schedule = _native_schedule()
+    want = core._schedule(list(prefix))
+    assert len(want) == 64 and want[:16] == prefix
+    assert schedule(prefix) == want
+    assert schedule(tuple(prefix)) == want
+
+
+def test_native_schedule_takes_exactly_16_words():
+    schedule = _native_schedule()
+    for n in (0, 15, 17):
+        with pytest.raises(ValueError, match=f"16 words, got {n}"):
+            schedule([0] * n)
+    with pytest.raises(TypeError):
+        schedule(None)
+    with pytest.raises(TypeError):
+        schedule([0.0] * 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[words32] * 14), st.tuples(*[words32] * 8), st.booleans())
+def test_expand_is_the_same_with_the_extension_disabled(words, chain, is_last):
+    _native_schedule()
+    block = MessageBlock(words=words, is_last=is_last)
+    native = expand(block, chain)
+    with pytest.MonkeyPatch.context() as m:
+        _disable_native(m)
+        assert expand(block, chain) == native
 
 
 # --- round function ---------------------------------------------------------

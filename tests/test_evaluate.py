@@ -408,7 +408,7 @@ def test_two_threads_building_at_once_both_load_the_module(
         second_built.set()
         return result
 
-    monkeypatch.setattr(evaluator.subprocess, "run", held_run)
+    monkeypatch.setattr(subprocess, "run", held_run)
     monkeypatch.setattr(evaluator, "_BUILD_LOCK", _SpyLock(second), raising=False)
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = [f.result() for f in
