@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 NUM_VARS = 64
 SYSTEM_SIZE = 32
@@ -27,6 +28,7 @@ SYSTEM_SIZE = 32
 _PREFIX_RE = re.compile(r"^y_\{([0-9]+)\}\s*=\s*")
 _TERM_RE = re.compile(r"x_\{([0-9]+)\}(?:x_\{([0-9]+)\})?")
 _FACTOR_RE = re.compile(r"x_\{([0-9]+)\}")
+_VARS = attrgetter("vars")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -184,4 +186,6 @@ def parse_polynomial(line: str) -> BooleanPolynomial:
             raise PolynomialSyntaxError(f"duplicate term {stripped!r}", start)
         terms.add(term)
         offset += len(chunk) + 1
-    return BooleanPolynomial(index=index, terms=frozenset(terms))
+    # built in term order, as ``system._from_words`` builds it, so that a
+    # polynomial iterates (and prints) the same however it was loaded
+    return BooleanPolynomial(index=index, terms=frozenset(sorted(terms, key=_VARS)))

@@ -211,7 +211,11 @@ class CompiledSystem:
     it is the ``_bind`` closure over 28 byte-pair tables (7.3 MB), which
     only this fallback builds.  ``_tables`` is the one flat buffer the
     chosen evaluator reads.  ``source`` is the system the tables were
-    compiled from, so that an oracle of the same map can be built.
+    compiled from, so that an oracle of the same map can be built, and
+    ``constant_word`` is ``eval_word(0)``, which is ``p``'s constant by
+    definition: compiling a system whose tables come from the cache reads
+    nothing of its polynomials, so one that ``load_default_system`` read
+    from the cache is never decoded on the hash path.
     Immutable after construction; evaluation is pure, so instances can be
     shared freely across threads.
     """
@@ -278,8 +282,7 @@ def compile_system(system: PolynomialSystem) -> CompiledSystem:
         tables, source = _tables(system, _BYTE_WIDTHS)
         eval_word = CompiledSystem._bind(tables)
         log.debug("eval_word: python closure (%s); %s", how, source)
-    return CompiledSystem(tables, eval_word, source=system,
-                          constant_word=system.constant_word)
+    return CompiledSystem(tables, eval_word, source=system, constant_word=eval_word(0))
 
 
 class TermSumEvaluator:

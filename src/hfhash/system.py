@@ -9,8 +9,11 @@ asset file for research use.
 ``load_default_system`` keeps each system it parses in the package's
 cache (see ``_cache``), keyed by the SHA-256 of the asset text and of
 the package sources, as a list of 16-bit term words; a later load of the
-same text builds the system from that list instead of parsing, and the
-system carries the text's SHA-256, which keys its compiled tables.
+same text verifies that list and holds it instead of parsing, and the
+system carries the text's SHA-256, which keys its compiled tables.  Such
+a system builds its polynomials from the words only when ``polys`` is
+first read, so a start that finds the compiled tables cached as well
+never builds them.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import threading
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
+from time import perf_counter
 
 from . import _cache
 from .anf import (
@@ -38,6 +43,8 @@ ASSET_ENV_VAR = "HFHASH_POLYNOMIALS"
 _SHIPPED_ASSET = Path(__file__).with_name("data") / "polynomials.txt"
 # the most characters an asset may hold; the shipped one has 485,759
 MAX_ASSET_CHARS = 4 << 20
+# a system read from the cache decodes its term words once per process
+_DECODE_LOCK = threading.Lock()
 
 
 class SystemFormatError(ValueError):
@@ -60,7 +67,11 @@ class PolynomialSystem:
     ``asset_sha256`` is the SHA-256 of the asset text the system was
     loaded from by ``load_default_system``, which keys its cached tables;
     it is None for a system made any other way, and takes no part in
-    equality.
+    equality.  A system that ``load_default_system`` read from the cache
+    holds the checksum-verified term words instead of ``polys`` and
+    decodes them on the first read of ``polys``, or of anything derived
+    from it (``constant_word``, ``eval_reference``, ``==``, ``hash``,
+    ``repr``); it then behaves as the parsed system in every way.
     """
 
     polys: tuple[BooleanPolynomial, ...]
@@ -76,6 +87,22 @@ class PolynomialSystem:
                 raise SystemFormatError(
                     f"position {k} holds polynomial index {poly.index}"
                 )
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the ``polys``
+        # of a system whose term words are still pending, or that another
+        # thread has decoded since this one looked
+        state = vars(self)
+        if name == "polys" and ("_words" in state or "polys" in state):
+            with _DECODE_LOCK:
+                if "polys" not in state:
+                    t0 = perf_counter()
+                    state["polys"] = _from_words(state["_words"])
+                    del state["_words"]
+                    log.debug("decoded %d polynomials in %.1f ms",
+                              SYSTEM_SIZE, (perf_counter() - t0) * 1e3)
+            return state["polys"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def eval_reference(self, x: int) -> int:
         """32-bit output word assembled from the term-by-term oracle.
@@ -128,15 +155,30 @@ def _term_word(term: Monomial) -> int:
 
 def _to_words(system: PolynomialSystem) -> array:
     """The system as native uint16 words: the 32 term counts, then every
-    polynomial's terms as ``_term_word``s."""
+    polynomial's terms as ``_term_word``s, in the parser's term order."""
     words = array("H", [poly.term_count for poly in system.polys])
     for poly in system.polys:
-        words.extend(map(_term_word, poly.terms))
+        words.extend(sorted(map(_term_word, poly.terms)))
     return words
 
 
-def _from_words(words: memoryview, asset_sha256: str) -> PolynomialSystem:
-    """The system that ``_to_words`` wrote, one `Monomial` per distinct term."""
+def _deferred(payload: memoryview, asset_sha256: str) -> PolynomialSystem:
+    """The system that ``_to_words`` wrote as the bytes ``payload``,
+    decoded when its ``polys`` is first read (see ``PolynomialSystem``).
+
+    It holds a copy of the words, so that it pickles and copies as a
+    parsed system does.
+    """
+    words = array("H")
+    words.frombytes(payload)
+    system = object.__new__(PolynomialSystem)
+    vars(system).update(_words=words, asset_sha256=asset_sha256)
+    return system
+
+
+def _from_words(words: array) -> tuple[BooleanPolynomial, ...]:
+    """The polynomials that ``_to_words`` wrote, one `Monomial` per
+    distinct term."""
     terms = {w: Monomial(tuple(v for v in (w >> 8, w & 0xFF) if v))
              for w in set(words[SYSTEM_SIZE:])}
     polys = []
@@ -145,7 +187,7 @@ def _from_words(words: memoryview, asset_sha256: str) -> PolynomialSystem:
         polys.append(BooleanPolynomial(
             k, frozenset(map(terms.__getitem__, words[start:start + count]))))
         start += count
-    return PolynomialSystem(tuple(polys), asset_sha256=asset_sha256)
+    return tuple(polys)
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +197,11 @@ def load_default_system() -> PolynomialSystem:
     An asset that cannot be read or parsed, or holds more than
     ``MAX_ASSET_CHARS`` characters, raises AssetError; no more than one
     character past the cap is read.  A text parsed before, by this
-    version of the package, is built from its cache entry instead; an
+    version of the package, is read from its cache entry instead, whose
+    checksum is verified here; the system holds the entry's term words
+    and decodes them into polynomials when ``polys`` is first read.  An
     entry that is missing, corrupted or cannot be written only costs a
-    parse.
+    parse, here.
     """
     path = os.environ.get(ASSET_ENV_VAR) or _SHIPPED_ASSET
     try:
@@ -175,9 +219,9 @@ def load_default_system() -> PolynomialSystem:
         system, note = _cache.cached(
             "system", sha,
             build=lambda: replace(load_system(text), asset_sha256=sha),
-            decode=lambda payload: _from_words(payload.cast("H"), sha),
+            decode=lambda payload: _deferred(payload, sha),
             encode=_to_words)
     except (PolynomialSyntaxError, SystemFormatError) as exc:
         raise AssetError(f"{path}: {exc}") from exc
-    log.debug("%s", note)
+    log.debug("%s%s", note, ", decoding deferred" if "_words" in vars(system) else "")
     return system

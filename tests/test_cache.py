@@ -5,24 +5,29 @@ fresh interpreters, each loading the native module from the package's
 own cache and then pointing the cache at a directory of the test's.
 """
 
+import copy
 import hashlib
 import logging
 import os
+import pickle
 import random
 import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import hfhash
 from hfhash import _cache, evaluator, system as system_mod
-from hfhash.evaluator import compile_system
-from hfhash.system import ASSET_ENV_VAR, load_default_system
+from hfhash.evaluator import TermSumEvaluator, compile_system
+from hfhash.system import ASSET_ENV_VAR, load_default_system, load_system
 
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
+# as in test_evaluate: zero, all ones and every single bit
+EDGE_INPUTS = [0, 2**64 - 1] + [1 << i for i in range(64)]
 
 CHILD = """
 import sys
@@ -110,34 +115,134 @@ def builds(monkeypatch):
     return widths
 
 
+@pytest.fixture()
+def decodes(monkeypatch):
+    """The term-word lists decoded into polynomials while the test runs."""
+    words = []
+
+    def spy(w):
+        words.append(w)
+        return from_words(w)
+
+    from_words = system_mod._from_words
+    monkeypatch.setattr(system_mod, "_from_words", spy)
+    return words
+
+
 def _messages(caplog, logger):
     return [r.getMessage() for r in caplog.records if r.name == logger]
 
 
-def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, caplog):
+def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, decodes,
+                                               caplog):
     caplog.set_level(logging.DEBUG, logger="hfhash")
     first = load_default_system.__wrapped__()
     compile_system(first)
     assert len(parses) == 32 and len(builds) == 1
+    assert first == system
     parses.clear()
     builds.clear()
+    decodes.clear()
     caplog.clear()
 
     second = load_default_system.__wrapped__()
     compiled = compile_system(second)
-    assert parses == [] and builds == []
-    assert second == first == system
+    assert parses == [] and builds == [] and decodes == []
+    assert compiled.constant_word == system.constant_word
+    [loaded] = _messages(caplog, "hfhash.system")
+    assert re.fullmatch(r"system-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms, "
+                        r"decoding deferred", loaded)
+    [compiled_log] = _messages(caplog, "hfhash.evaluator")
+    assert re.search(r"; tables-[0-9_]+-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms$",
+                     compiled_log)
+
+    assert second == first
+    assert len(decodes) == 1
     assert second.asset_sha256 == first.asset_sha256
     # one Monomial per distinct term, as the parser shares them
     terms = [term for poly in second.polys for term in poly.terms]
     assert len({id(term) for term in terms}) == 2081
     assert [compiled.eval_word(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)] == \
         [system.eval_reference(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)]
-    [loaded] = _messages(caplog, "hfhash.system")
-    assert re.fullmatch(r"system-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms", loaded)
-    [compiled_log] = _messages(caplog, "hfhash.evaluator")
-    assert re.search(r"; tables-[0-9_]+-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms$",
-                     compiled_log)
+    assert len(decodes) == 1
+    assert re.fullmatch(r"decoded 32 polynomials in [0-9.]+ ms",
+                        _messages(caplog, "hfhash.system")[1])
+
+
+# --- a system read from the cache decodes its polynomials on first use
+
+@pytest.fixture(scope="module")
+def parsed():
+    return load_system(system_mod._SHIPPED_ASSET.read_text())
+
+
+@pytest.fixture()
+def deferred(cache, decodes):
+    """A system read from a warm cache, its polynomials not yet decoded."""
+    load_default_system.__wrapped__()
+    loaded = load_default_system.__wrapped__()
+    assert loaded.asset_sha256 is not None
+    assert decodes == []
+    return loaded
+
+
+def _term_sums(system):
+    oracle = TermSumEvaluator(system)
+    return oracle.constant_word, [oracle.eval_word(x) for x in EDGE_INPUTS]
+
+
+@pytest.mark.parametrize("reads_as_parsed", [
+    lambda d, p: d == p,
+    lambda d, p: p == d,
+    lambda d, p: not d != p and not p != d,
+    lambda d, p: hash(d) == hash(p),
+    lambda d, p: repr(d) == repr(p),
+    lambda d, p: d.constant_word == p.constant_word,
+    lambda d, p: [d.eval_reference(x) for x in EDGE_INPUTS] ==
+                 [p.eval_reference(x) for x in EDGE_INPUTS],
+    lambda d, p: _term_sums(d) == _term_sums(p),
+    lambda d, p: d.polys == p.polys,
+], ids=["eq", "eq-reflected", "ne", "hash", "repr", "constant_word", "eval_reference",
+        "term-sum-oracle", "polys"])
+def test_deferred_system_reads_as_the_parsed_one(deferred, parsed, decodes, reads_as_parsed):
+    assert reads_as_parsed(deferred, parsed)
+    assert len(decodes) == 1
+    # decoded once: later reads use the same polynomials
+    assert deferred.polys is deferred.polys
+    assert len(decodes) == 1
+
+
+def test_deferred_system_pickles_and_copies(deferred, parsed, decodes):
+    copies = [pickle.loads(pickle.dumps(deferred)), copy.deepcopy(deferred),
+              copy.copy(deferred)]
+    assert decodes == []
+    assert copies == [parsed] * 3
+    assert deferred == parsed
+    assert len(decodes) == 4
+
+
+def test_threads_reading_polys_at_once_decode_once(deferred, parsed, decodes):
+    barrier = threading.Barrier(4)
+    seen = []
+
+    def read():
+        barrier.wait(timeout=60)
+        seen.append(deferred.polys)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 4 and all(polys is seen[0] for polys in seen)
+    assert seen[0] == parsed.polys
+    assert len(decodes) == 1
 
 
 def test_a_miss_logs_its_entry_and_stores_it(cache, caplog):

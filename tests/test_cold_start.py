@@ -1,7 +1,8 @@
 """The hash path, `hfhash sum` and the analysis reports never import
 numpy, on either evaluator; `hfhash sum` never imports the analysis
 module, and a start that finds the native build cached never imports
-`subprocess`.
+`subprocess`.  A start that finds the parsed asset and the tables
+cached decodes no polynomial until a command reads one.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -39,17 +40,40 @@ print("hfhash.analysis" in sys.modules)
 print("subprocess" in sys.modules)
 """
 
+# the child runs each command against the cache directory it is given and
+# prints how many times the cached system has been decoded so far
+DECODES = """
+import sys
+from pathlib import Path
+from hfhash import _cache, cli, evaluator, system
+if sys.argv[1] == "fallback":
+    evaluator._load_pmap = lambda: (None, "disabled by test")
+evaluator._load_pmap()
+_cache.DIR = Path(sys.argv[2])
+decoded = []
+from_words = system._from_words
+system._from_words = lambda words: decoded.append(words) or from_words(words)
+for args in sys.argv[3:]:
+    cli.main(args.split(), standalone_mode=False)
+    print(len(decoded))
+"""
+
 EVAL_WORD_TYPE = {"native": "builtin_function_or_method", "fallback": "function"}
+POLY_1 = "y_1: 1041 terms (1007 quadratic, 33 linear, constant 1)"
 
 
-def _run_child(engine, *commands):
+def _run(script, *args):
     src = str(Path(hfhash.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", CHILD, engine, *commands],
+    result = subprocess.run([sys.executable, "-c", script, *args],
                             input=b"a", capture_output=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr.decode()
     return result.stdout.decode().splitlines()
+
+
+def _run_child(engine, *commands):
+    return _run(CHILD, engine, *commands)
 
 
 @pytest.fixture(params=sorted(EVAL_WORD_TYPE))
@@ -83,3 +107,11 @@ def test_diffusion_never_imports_numpy(engine):
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("schedule diffusion, 48 rounds")
     assert lines[-4:] == [EVAL_WORD_TYPE[engine], "False", "True", "False"]
+
+
+def test_warm_sum_decodes_nothing_and_poly_decodes_once(engine, tmp_path):
+    cache = tmp_path / "__pycache__"
+    # the first start parses and fills the cache
+    assert _run(DECODES, engine, str(cache), "sum") == [f"{A_DIGEST}  -", "0"]
+    lines = _run(DECODES, engine, str(cache), "sum", "poly --index 1")
+    assert lines == [f"{A_DIGEST}  -", "0", POLY_1, "1"]

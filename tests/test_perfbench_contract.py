@@ -33,6 +33,17 @@ def test_setup_probe_names_resolve():
     assert callable(core.compile_system)
 
 
+def test_default_params_loads_and_compiles_once_through_core(monkeypatch):
+    # the probe times each setup layer by replacing it in core; a layer
+    # not called through core, or called twice, misreports its time
+    loads = _record(monkeypatch, "load_default_system")
+    compiles = _record(monkeypatch, "compile_system")
+    params = core.default_params.__wrapped__()
+    assert loads == [()]
+    assert compiles == [(load_default_system(),)]
+    assert params.system.eval_word(0) == params.system.constant_word
+
+
 def test_traced_params_keep_constant_word():
     # the tracer's eval_word proxy copies constant_word from the system
     assert core.default_params().system.constant_word == load_default_system().constant_word
