@@ -171,10 +171,6 @@ class Digest:
         return self.hex()
 
 
-def rotl32(x: int, n: int) -> int:
-    return ((x << n) | (x >> (32 - n))) & MASK32
-
-
 def _encode_length(bits: int, layout: LayoutConfig) -> bytes:
     fmt = "<I" if layout.length_endian == "little" else ">I"
     halves = (bits & MASK32, bits >> 32)
@@ -280,10 +276,16 @@ def compress(chain: tuple[int, ...], block: MessageBlock, params: HfParams) -> t
     ev = params.system.eval_word
     h0, h1, h2, h3, h4, h5, h6, h7 = chain
     for wj, kj in zip(w[:params.rounds], ROUND_CONSTANTS):
-        t1 = (h1 + h2 + ev((h3 << 32) | h0) + kj) & MASK32
-        t2 = (h4 + h5 + ev((h7 << 32) | h6) + wj) & MASK32
-        h0, h1, h2, h3, h4, h5, h6, h7 = (
-            (t1 + t2) & MASK32, h0, h1, h2, rotl32((h3 + t1) & MASK32, 5), h4, h5, h6)
+        # T1 and T2 stay unreduced: every later use of them is taken mod
+        # 2**32, so only the two new words are reduced.  The state shifts
+        # three words at a time, which CPython does without a tuple.
+        t1 = h1 + h2 + ev((h3 << 32) | h0) + kj
+        t2 = h4 + h5 + ev((h7 << 32) | h6) + wj
+        x = (h3 + t1) & MASK32
+        h1, h2, h3 = h0, h1, h2
+        h5, h6, h7 = h4, h5, h6
+        h0 = (t1 + t2) & MASK32
+        h4 = ((x << 5) | (x >> 27)) & MASK32
     return (h0, h1, h2, h3, h4, h5, h6, h7)
 
 

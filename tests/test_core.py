@@ -26,7 +26,6 @@ from hfhash.core import (
     pad,
     params_with,
     parse_blocks,
-    rotl32,
     self_test,
 )
 
@@ -49,6 +48,18 @@ class ZeroSystem:
     @staticmethod
     def eval_word(x):
         return 0
+
+
+class OnesSystem:
+    """Evaluator stub: p(x) = 2**32 - 1, the largest word, for every input."""
+
+    @staticmethod
+    def eval_word(x):
+        return MASK32
+
+
+def rotl32(x, n):
+    return ((x << n) | (x >> (32 - n))) & MASK32
 
 
 def round_step(state, w, k, system):
@@ -341,15 +352,20 @@ def test_round_matches_hand_stepped_trace(system, compiled):
 @pytest.mark.parametrize("is_last", [False, True])
 def test_compress_is_the_spec_rounds(params, rounds, is_last):
     rng = random.Random(rounds + is_last)
-    p = params_with(rounds=rounds, base=params)
-    for _ in range(3):
-        chain = tuple(rng.getrandbits(32) for _ in range(8))
-        block = MessageBlock(words=tuple(rng.getrandbits(32) for _ in range(14)),
-                             is_last=is_last)
+    cases = [(params.system, tuple(rng.getrandbits(32) for _ in range(8)),
+              tuple(rng.getrandbits(32) for _ in range(14))) for _ in range(3)]
+    # all-ones p, chain and message make every unreduced sum of the round
+    # as large as it gets, so each carry past bit 31 must be dropped
+    cases.append((OnesSystem(), (MASK32,) * 8, (MASK32,) * 14))
+    for system, chain, words in cases:
+        p = HfParams(system=system, rounds=rounds)
+        block = MessageBlock(words=words, is_last=is_last)
         state = chain
         for w, k in zip(expand(block, chain)[:rounds], ROUND_CONSTANTS):
-            state = round_step(state, w, k, p.system)
-        assert compress(chain, block, p) == state
+            state = round_step(state, w, k, system)
+        out = compress(chain, block, p)
+        assert out == state
+        assert all(0 <= h <= MASK32 for h in out)
 
 
 # --- compression and hashing -------------------------------------------------

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from hfhash import analysis, core
-from hfhash.core import pad, parse_blocks
+from hfhash.core import ROUND_CONSTANTS, HfParams, MessageBlock, expand, pad, parse_blocks
 from hfhash.evaluator import TermSumEvaluator
 from hfhash.system import load_default_system
+from test_core import round_step
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 CHUNK = 1 << 16     # the stream-long workload's chunk size
@@ -125,3 +126,33 @@ def test_streaming_compresses_exactly_the_padded_blocks(
         hasher.finalize()
         assert [block for _, block, _ in compressed] == parse_blocks(pad(message))
         assert len(parsed) == 1
+
+
+# --- the round contract: a traced run checks eval_word calls == 2 x rounds x compress calls
+
+class _RecordingSystem:
+    """Evaluator stub that records each argument and returns a mixed word."""
+
+    def __init__(self):
+        self.args = []
+
+    def eval_word(self, x):
+        self.args.append(x)
+        return (x * 0x9E3779B97F4A7C15 >> 32) & 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("rounds", [32, 48, 64])
+def test_compress_calls_eval_word_twice_per_round_in_order(rounds):
+    rng = random.Random(rounds)
+    chain = tuple(rng.getrandbits(32) for _ in range(8))
+    block = MessageBlock(words=tuple(rng.getrandbits(32) for _ in range(14)))
+    recorder = _RecordingSystem()
+    core.compress(chain, block, HfParams(system=recorder, rounds=rounds))
+    expected = []
+    state, spec = chain, _RecordingSystem()
+    for w, k in zip(expand(block, chain)[:rounds], ROUND_CONSTANTS):
+        h0, _, _, h3, _, _, h6, h7 = state
+        expected += [h3 << 32 | h0, h7 << 32 | h6]
+        state = round_step(state, w, k, spec)
+    assert recorder.args == expected
+    assert all(type(x) is int and 0 <= x < 1 << 64 for x in recorder.args)
