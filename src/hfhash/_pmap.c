@@ -10,12 +10,24 @@
  * order, 194,560 words (778,240 bytes) in all, which stays in L2.
  * Finer chunks mean more lookups, coarser ones tables that spill out of
  * the cache; 6 bits was the fastest width measured (BENCH_11.json).
+ * The loops of `pmap()` are unrolled in full.  At -O2 gcc keeps them as
+ * loops, and then each lookup pays for variable shifts, a table-offset
+ * add and loop control, a large part of a call.  Unrolled, every shift,
+ * mask and offset is a constant, and the loops stay the one description
+ * of the layout.
  *
  * `Evaluator(tables)` takes that one C-contiguous buffer of native uint32
  * words and holds a single buffer view on it, so nothing is copied and
  * the buffer cannot be resized while it lives.  The module exports the
  * widths as `CHUNK_WIDTHS`, from which `evaluator.compile_system` builds
  * the buffer; `evaluator._load_pmap` builds this file on first use.
+ * `eval_word` reads its argument with PyLong_AsUnsignedLong where
+ * `unsigned long` has 64 bits (LP64): CPython 3.11 converts an int of
+ * two or more digits through a generic byte conversion in
+ * PyLong_AsUnsignedLongLong, but walks the digits directly in
+ * PyLong_AsUnsignedLong.  Where `unsigned long` is narrower, the
+ * `long long` read stays.  An argument outside [0, 2**64) is an
+ * OverflowError either way, never truncated.
  *
  * `schedule(prefix)` runs the schedule recurrence of `core._schedule`,
  * the Python spec it is tested against, on the 16-word prefix that
@@ -25,6 +37,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 
 static const int CHUNK_WIDTHS[] = {6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 4};
@@ -36,12 +49,15 @@ pmap(const uint32_t *t, uint64_t x)
 {
     uint32_t c[NCHUNKS];
     int shift = 64;
+#pragma GCC unroll 16
     for (int i = 0; i < NCHUNKS; i++) {
         shift -= CHUNK_WIDTHS[i];
         c[i] = (uint32_t)(x >> shift) & ((1u << CHUNK_WIDTHS[i]) - 1);
     }
     uint32_t acc = 0;
+#pragma GCC unroll 16
     for (int i = 0; i < NCHUNKS - 1; i++)
+#pragma GCC unroll 16
         for (int j = i + 1; j < NCHUNKS; j++) {
             acc ^= t[c[i] << CHUNK_WIDTHS[j] | c[j]];
             t += (size_t)1 << (CHUNK_WIDTHS[i] + CHUNK_WIDTHS[j]);
@@ -72,6 +88,13 @@ table_words(void)
             n += (Py_ssize_t)1 << (CHUNK_WIDTHS[i] + CHUNK_WIDTHS[j]);
     return n;
 }
+
+/* the direct digit walk where `unsigned long` holds 64 bits */
+#if ULONG_MAX >= UINT64_MAX
+#define AS_UINT64 PyLong_AsUnsignedLong
+#else
+#define AS_UINT64 PyLong_AsUnsignedLongLong
+#endif
 
 typedef struct {
     PyObject_HEAD
@@ -119,8 +142,8 @@ Evaluator_eval_word(Evaluator *self, PyObject *arg)
         return NULL;
     }
     /* OverflowError outside [0, 2**64), as int.to_bytes(8, "big") raises */
-    unsigned long long x = PyLong_AsUnsignedLongLong(arg);
-    if (x == (unsigned long long)-1 && PyErr_Occurred())
+    uint64_t x = AS_UINT64(arg);
+    if (x == UINT64_MAX && PyErr_Occurred())
         return NULL;
     return PyLong_FromUnsignedLong(pmap(self->view.buf, x));
 }

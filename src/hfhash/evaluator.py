@@ -61,6 +61,8 @@ _BYTE_WIDTHS = (8,) * (NUM_VARS // 8)
 
 _PMAP_SOURCE = Path(__file__).with_name("_pmap.c")
 _COMPILER = "cc"
+# how ``_compile`` builds the extension; the tests build with these too
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 # one build per process: the threads that miss wait for the first one's
 _BUILD_LOCK = threading.Lock()
 
@@ -107,8 +109,7 @@ def _compile(target) -> None:
 
     try:
         subprocess.run(
-            [_COMPILER, "-O2", "-shared", "-fPIC",
-             "-I" + sysconfig.get_paths()["include"],
+            [_COMPILER, *_CFLAGS, "-I" + sysconfig.get_paths()["include"],
              str(_PMAP_SOURCE), "-o", str(target)],
             check=True, capture_output=True, timeout=120)
     except subprocess.SubprocessError as exc:

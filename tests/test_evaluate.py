@@ -4,12 +4,12 @@ import random
 import shutil
 import subprocess
 import sys
-import sysconfig
 import threading
 import types
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -202,6 +202,31 @@ def test_native_matches_closure_and_term_sum_on_edges(system, compiled):
         assert compiled.eval_word(x) == closure(x) == term_sum.eval_word(x)
 
 
+def test_native_matches_closure_and_term_sum_on_table_corners(system, compiled):
+    # each chunk all ones, then each pair of chunks all ones, every other
+    # bit zero: a pair input indexes the last word of its pair's table
+    _need_compiler()
+    module, how = evaluator._load_pmap()
+    assert module is not None, how
+    ends = list(accumulate(module.CHUNK_WIDTHS))
+    ones = [((1 << w) - 1) << (64 - end) for w, end in zip(module.CHUNK_WIDTHS, ends)]
+    corners = ones + [a | b for a, b in combinations(ones, 2)]
+    assert len(corners) == 11 + 55
+    closure, term_sum = _closure(compiled), _cached_term_sum(system)
+    for x in corners:
+        assert compiled.eval_word(x) == closure(x) == term_sum.eval_word(x), hex(x)
+
+
+def test_native_reads_any_int_below_2_64(compiled):
+    _need_compiler()
+    assert isinstance(compiled.eval_word, types.BuiltinMethodType)
+    for x in (2**63, 2**64 - 1, True):
+        assert compiled.eval_word(x) == _closure(compiled)(x)
+    for x in (1.0, np.uint64(5)):
+        with pytest.raises(TypeError, match="takes an int"):
+            compiled.eval_word(x)
+
+
 @pytest.mark.parametrize("x", [-1, 2**64])
 def test_out_of_range_input_overflows_on_both_paths(system, compiled, x):
     for ev in (compiled.eval_word, _closure(compiled), _cached_term_sum(system).eval_word,
@@ -311,13 +336,19 @@ def test_table_bytes_are_pinned(system, layout, cached, tmp_path, monkeypatch):
         assert _table_sha256(tables) == TABLE_SHA256[layout], path
 
 
-def test_native_source_compiles_without_warnings():
+def test_native_source_compiles_without_warnings(tmp_path, monkeypatch):
+    # the production build, so that warnings only the optimizer raises
+    # (on unrolled code, say) are seen too
     _need_compiler()
-    result = subprocess.run(
-        [evaluator._COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         "-I" + sysconfig.get_paths()["include"], str(evaluator._PMAP_SOURCE)],
-        capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    monkeypatch.setattr(evaluator, "_CFLAGS",
+                        evaluator._CFLAGS + ("-Wall", "-Wextra", "-Werror"))
+    target = tmp_path / "_pmap.so"
+    try:
+        evaluator._compile(target)
+    except OSError as exc:
+        stderr = getattr(exc.__cause__, "stderr", None)
+        pytest.fail(stderr.decode() if stderr else str(exc))
+    assert target.stat().st_size > 0
 
 
 @pytest.fixture()
