@@ -2,13 +2,13 @@
 
 The compression map of HF-hash is built from 32 quadratic GF(2)
 polynomials.  This module knows how to parse them from their text form,
-validate them, and evaluate them term by term.  `Monomial` is the one
-validator of a term (variable range, repeats, order); the parser only
-splits the text, reports its errors at the term's column and shares
-one `Monomial` object per distinct term across all lines.  The
-term-by-term evaluator here is deliberately simple: it is the
-correctness oracle that the optimized evaluator (see `evaluator`) is
-checked against.
+validate them, and evaluate them term by term.  A term, ``x_i x_j``
+(i < j), ``x_i`` or ``1``, is one 16-bit term word, ``i << 8 | j``,
+``i << 8`` or 0: ``parse_words`` turns a line straight into its term
+words, all that a `system.PolynomialSystem` holds.  `_word` is the one
+check of a term (variable range, repeats, order), which `Monomial` runs
+too.  The term-by-term evaluator here is the ANF reference that
+``hfhash poly --eval`` and the tests use.
 
 Bit convention: for a 64-bit input word x, variable x_1 is the MOST
 significant bit and x_64 the least significant one.
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import attrgetter
 
 NUM_VARS = 64
 SYSTEM_SIZE = 32
@@ -28,7 +26,6 @@ SYSTEM_SIZE = 32
 _PREFIX_RE = re.compile(r"^y_\{([0-9]+)\}\s*=\s*")
 _TERM_RE = re.compile(r"x_\{([0-9]+)\}(?:x_\{([0-9]+)\})?")
 _FACTOR_RE = re.compile(r"x_\{([0-9]+)\}")
-_VARS = attrgetter("vars")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -49,6 +46,31 @@ class PolynomialSyntaxError(ValueError):
         return f"{where}col {self.position + 1}: {self.args[0]}"
 
 
+def _word(vars: tuple[int, ...]) -> int:
+    """The term word of the term ``vars``: (), (i,) or (i, j) with i < j,
+    each index an int in 1..64.  Raises ValueError for any other."""
+    if type(vars) is not tuple:
+        raise ValueError(f"monomial variables must be a tuple, not {type(vars).__name__}")
+    if len(vars) > 2:
+        raise ValueError(f"monomial degree {len(vars)} exceeds 2")
+    for v in vars:
+        if type(v) is not int:
+            raise ValueError(f"variable index {v!r} is not an int")
+        if not 1 <= v <= NUM_VARS:
+            raise ValueError(f"variable index {v} outside 1..{NUM_VARS}")
+    i, j = (*vars, 0, 0)[:2]
+    if j and i >= j:
+        what = "repeated variable in" if i == j else "unordered quadratic"
+        raise ValueError(f"{what} term 'x_{{{i}}}x_{{{j}}}'")
+    return i << 8 | j
+
+
+def _vars(word: int) -> tuple[int, ...]:
+    """The variables of the term ``word``: the inverse of ``_word``."""
+    i, j = word >> 8, word & 0xFF
+    return (i, j) if j else (i,) if i else ()
+
+
 @dataclass(frozen=True, order=True)
 class Monomial:
     """One ANF term: (), (i,) or (i, j) with i < j, meaning 1, x_i or x_i*x_j."""
@@ -56,17 +78,7 @@ class Monomial:
     vars: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.vars) > 2:
-            raise ValueError(f"monomial degree {len(self.vars)} exceeds 2")
-        for v in self.vars:
-            if not 1 <= v <= NUM_VARS:
-                raise ValueError(f"variable index {v} outside 1..{NUM_VARS}")
-        if len(self.vars) == 2:
-            i, j = self.vars
-            if i == j:
-                raise ValueError(f"repeated variable in term {str(self)!r}")
-            if i > j:
-                raise ValueError(f"unordered quadratic term {str(self)!r}")
+        _word(self.vars)
 
     @property
     def degree(self) -> int:
@@ -130,34 +142,28 @@ class BooleanPolynomial:
         return self.canonical_str()
 
 
-@lru_cache(maxsize=None)
-def _monomial(vars: tuple[int, ...]) -> Monomial:
-    """The one shared `Monomial` of ``vars``.  A 32-polynomial system
-    repeats each term about 16 times; only the 2,081 valid terms are ever
-    cached, since an invalid one raises."""
-    return Monomial(vars)
-
-
-def _parse_term(text: str, position: int) -> Monomial:
-    if text == "1":
-        return ONE
+def _parse_term(text: str, position: int) -> int:
+    if not text:
+        raise PolynomialSyntaxError("empty term", position)
     m = _TERM_RE.fullmatch(text)
-    if m is None:
+    if m is None and text != "1":
         if len(_FACTOR_RE.findall(text)) > 2:
             raise PolynomialSyntaxError(f"term {text!r} has degree > 2", position)
         raise PolynomialSyntaxError(f"malformed term {text!r}", position)
     try:
-        return _monomial(tuple(int(v) for v in m.groups() if v is not None))
+        return _word(tuple(int(v) for v in m.groups() if v is not None) if m else ())
     except ValueError as exc:
         raise PolynomialSyntaxError(str(exc), position) from exc
 
 
-def parse_polynomial(line: str) -> BooleanPolynomial:
-    """Parse one `y_{k} = term + term + ...` definition line.
-
-    Whitespace around `+` is tolerated.  Rejects malformed terms,
+def parse_words(line: str, known: dict[str, int]) -> tuple[int, list[int]]:
+    """The index and the ascending term words of one `y_{k} = term + ...`
+    line.  Whitespace around `+` is tolerated.  Rejects malformed terms,
     variable indices outside 1..64, duplicate terms and terms of degree
-    above two, reporting the column where the problem starts.
+    above two, reporting the column where the problem starts.  ``known``
+    maps the term texts already checked to their words and gains this
+    line's, so that the lines of one asset, sharing it, check each
+    distinct spelling of a term once.
     """
     m = _PREFIX_RE.match(line)
     if not m:
@@ -170,22 +176,27 @@ def parse_polynomial(line: str) -> BooleanPolynomial:
     if index < 1:
         raise PolynomialSyntaxError(f"polynomial index {index} must be positive", 2)
 
-    terms: set[Monomial] = set()
-    pos = m.end()
-    body = line[pos:]
-    if not body.strip():
-        raise PolynomialSyntaxError("empty polynomial body", pos)
-    offset = 0
-    for chunk in body.split("+"):
-        stripped = chunk.strip()
-        start = pos + offset + (len(chunk) - len(chunk.lstrip()))
-        if not stripped:
-            raise PolynomialSyntaxError("empty term", start)
-        term = _parse_term(stripped, start)
-        if term in terms:
-            raise PolynomialSyntaxError(f"duplicate term {stripped!r}", start)
-        terms.add(term)
+    offset = m.end()
+    if not line[offset:].strip():
+        raise PolynomialSyntaxError("empty polynomial body", offset)
+    words: set[int] = set()
+    for chunk in line[offset:].split("+"):
+        text = chunk.strip()
+        word = known.get(text)
+        if word is None or word in words:
+            start = offset + len(chunk) - len(chunk.lstrip())
+            if word is None:
+                word = known[text] = _parse_term(text, start)
+            if word in words:
+                raise PolynomialSyntaxError(f"duplicate term {text!r}", start)
+        words.add(word)
         offset += len(chunk) + 1
-    # built in term order, as ``system._from_words`` builds it, so that a
-    # polynomial iterates (and prints) the same however it was loaded
-    return BooleanPolynomial(index=index, terms=frozenset(sorted(terms, key=_VARS)))
+    return index, sorted(words)
+
+
+def parse_polynomial(line: str) -> BooleanPolynomial:
+    """Parse one `y_{k} = term + ...` definition line, as ``parse_words`` does."""
+    index, words = parse_words(line, {})
+    # built in term order, as ``PolynomialSystem.polys`` builds it, so
+    # that a polynomial iterates the same however it was made
+    return BooleanPolynomial(index, frozenset(Monomial(_vars(w)) for w in words))

@@ -22,7 +22,7 @@ Three routes with identical semantics:
   asset's SHA-256 and the package sources, and later compiles of the
   same system read it back instead of building it.
 * ``TermSumEvaluator`` -- vectorized term-by-term summation operating
-  directly on the parsed term list (one uint64 mask per term, the
+  directly on the system's term words (one uint64 mask per term, the
   constant's being 0; a term is satisfied iff ``x & mask == mask``).
   Slower, but its data layout is a straight transcription of the
   polynomial text, which makes it the natural cross-check and the
@@ -51,7 +51,7 @@ from pathlib import Path
 from time import perf_counter
 
 from . import _cache
-from .anf import NUM_VARS, SYSTEM_SIZE
+from .anf import NUM_VARS, SYSTEM_SIZE, _vars
 from .system import PolynomialSystem
 
 log = logging.getLogger(__name__)
@@ -117,17 +117,16 @@ def _compile(target) -> None:
 
 
 def _collect_masks(system: PolynomialSystem) -> list[list[int]]:
-    """Merge the 32 term sets into one 64x64 matrix of 32-bit output masks.
-
-    ``x_i x_j`` (i < j) lands in ``m[i-1][j-1]`` and ``x_i`` in
+    """Merge the 32 term-word lists into one 64x64 matrix of 32-bit output
+    masks: ``x_i x_j`` (i < j) lands in ``m[i-1][j-1]`` and ``x_i`` in
     ``m[i-1][i-1]``; the constant terms are ``system.constant_word``.
     """
     m = [[0] * NUM_VARS for _ in range(NUM_VARS)]
-    for k, poly in enumerate(system.polys, start=1):
+    for k, terms in enumerate(system.term_words, start=1):
         out_bit = 1 << (SYSTEM_SIZE - k)
-        for term in poly.terms:
-            if term.vars:
-                m[term.vars[0] - 1][term.vars[-1] - 1] ^= out_bit
+        for term in map(_vars, terms):
+            if term:
+                m[term[0] - 1][term[-1] - 1] ^= out_bit
     return m
 
 
@@ -215,8 +214,7 @@ class CompiledSystem:
     compiled from, so that an oracle of the same map can be built, and
     ``constant_word`` is ``eval_word(0)``, which is ``p``'s constant by
     definition: compiling a system whose tables come from the cache reads
-    nothing of its polynomials, so one that ``load_default_system`` read
-    from the cache is never decoded on the hash path.
+    nothing of its terms.
     Immutable after construction; evaluation is pure, so instances can be
     shared freely across threads.
     """
@@ -287,13 +285,12 @@ def compile_system(system: PolynomialSystem) -> CompiledSystem:
 
 
 class TermSumEvaluator:
-    """Vectorized term-by-term evaluation straight off the term lists.
+    """Vectorized term-by-term evaluation straight off the term words.
 
-    Each term is one uint64 mask of its variables (distinct, so their
-    bits sum to an OR); the constant's mask is 0, which every input
-    satisfies.  A polynomial with no terms gets
-    two zero masks, which cancel, so that its ``reduceat`` segment is
-    nonempty.
+    Each term word becomes one uint64 mask of its variables (distinct,
+    so their bits sum to an OR); the constant's mask is 0, which every
+    input satisfies.  A polynomial with no terms gets two zero masks,
+    which cancel, so that its ``reduceat`` segment is nonempty.
     """
 
     def __init__(self, system: PolynomialSystem):
@@ -301,10 +298,10 @@ class TermSumEvaluator:
 
         masks: list[int] = []
         starts: list[int] = []
-        for poly in system.polys:
+        for terms in system.term_words:
             starts.append(len(masks))
-            masks.extend([sum(1 << (NUM_VARS - v) for v in term.vars)
-                          for term in poly.terms] or [0, 0])
+            masks.extend([sum(1 << (NUM_VARS - v) for v in _vars(w))
+                          for w in terms] or [0, 0])
         self._masks = np.asarray(masks, dtype=np.uint64)
         self._starts = np.asarray(starts, dtype=np.int64)
         self.constant_word = system.constant_word
@@ -341,10 +338,10 @@ def eval_batch_bitsliced(system: PolynomialSystem, inputs: list[int]) -> list[in
 
     # a linear term's first and last variable are the same
     streams = []
-    for poly in system.polys:
+    for terms in system.term_words:
         acc = 0
-        for term in poly.terms:
-            acc ^= cols[term.vars[0] - 1] & cols[term.vars[-1] - 1] if term.vars else ones
+        for term in map(_vars, terms):
+            acc ^= cols[term[0] - 1] & cols[term[-1] - 1] if term else ones
         streams.append(acc)
 
     words = []

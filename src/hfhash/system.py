@@ -6,14 +6,11 @@ truth and the asset can be audited by independent text splitting.  The
 environment variable ``HFHASH_POLYNOMIALS`` may point at an alternate
 asset file for research use.
 
-``load_default_system`` keeps each system it parses in the package's
-cache (see ``_cache``), keyed by the SHA-256 of the asset text and of
-the package sources, as a list of 16-bit term words; a later load of the
-same text verifies that list and holds it instead of parsing, and the
-system carries the text's SHA-256, which keys its compiled tables.  Such
-a system builds its polynomials from the words only when ``polys`` is
-first read, so a start that finds the compiled tables cached as well
-never builds them.
+A system is its term words (see ``anf``): the tables and the oracles
+read nothing else, and ``load_default_system`` keeps them in the
+package's cache (see ``_cache``), so that a later start of the same
+asset neither parses it nor, unless it reads ``polys``, builds a
+polynomial object.
 """
 
 from __future__ import annotations
@@ -23,18 +20,21 @@ import logging
 import os
 import threading
 from array import array
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from time import perf_counter
 
 from . import _cache
 from .anf import (
+    NUM_VARS,
     SYSTEM_SIZE,
     BooleanPolynomial,
     Monomial,
     PolynomialSyntaxError,
-    parse_polynomial,
+    _vars,
+    _word,
+    parse_words,
 )
 
 log = logging.getLogger(__name__)
@@ -43,8 +43,8 @@ ASSET_ENV_VAR = "HFHASH_POLYNOMIALS"
 _SHIPPED_ASSET = Path(__file__).with_name("data") / "polynomials.txt"
 # the most characters an asset may hold; the shipped one has 485,759
 MAX_ASSET_CHARS = 4 << 20
-# a system read from the cache decodes its term words once per process
-_DECODE_LOCK = threading.Lock()
+# the threads that first read a system's ``polys`` at once build it once
+_POLYS_LOCK = threading.Lock()
 
 
 class SystemFormatError(ValueError):
@@ -60,68 +60,103 @@ class AssetError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+def _check_indices(indices) -> None:
+    """Exactly 32 polynomials, position k holding index k."""
+    if len(indices) != SYSTEM_SIZE:
+        raise SystemFormatError(f"expected {SYSTEM_SIZE} polynomials, got {len(indices)}")
+    for k, index in enumerate(indices, start=1):
+        if index != k:
+            raise SystemFormatError(f"position {k} holds polynomial index {index}")
+
+
 class PolynomialSystem:
     """Exactly 32 polynomials; position k-1 holds index k.
 
-    ``asset_sha256`` is the SHA-256 of the asset text the system was
-    loaded from by ``load_default_system``, which keys its cached tables;
-    it is None for a system made any other way, and takes no part in
-    equality.  A system that ``load_default_system`` read from the cache
-    holds the checksum-verified term words instead of ``polys`` and
-    decodes them on the first read of ``polys``, or of anything derived
-    from it (``constant_word``, ``eval_reference``, ``==``, ``hash``,
-    ``repr``); it then behaves as the parsed system in every way.
+    The state is ``words``, bytes of native uint16: the 32 term counts,
+    then each polynomial's term words in ascending order; equality,
+    hashing, ``repr``, pickling and copying come from it alone.  ``polys``
+    is a view of it, built on its first read with one shared `Monomial`
+    per distinct term.  ``asset_sha256``, the SHA-256 of the asset text
+    that ``load_default_system`` read, keys the cached tables; it is None
+    for a system made any other way, and takes no part in equality.
     """
 
-    polys: tuple[BooleanPolynomial, ...]
-    asset_sha256: str | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("words", "asset_sha256", "_polys")
 
-    def __post_init__(self):
-        if len(self.polys) != SYSTEM_SIZE:
-            raise SystemFormatError(
-                f"expected {SYSTEM_SIZE} polynomials, got {len(self.polys)}"
-            )
-        for k, poly in enumerate(self.polys, start=1):
-            if poly.index != k:
-                raise SystemFormatError(
-                    f"position {k} holds polynomial index {poly.index}"
-                )
+    def __init__(self, polys, asset_sha256: str | None = None):
+        _check_indices([poly.index for poly in polys])
+        words = array("H", [poly.term_count for poly in polys])
+        for poly in polys:
+            words.extend(sorted(_word(term.vars) for term in poly.terms))
+        self.words, self.asset_sha256, self._polys = words.tobytes(), asset_sha256, None
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the ``polys``
-        # of a system whose term words are still pending, or that another
-        # thread has decoded since this one looked
-        state = vars(self)
-        if name == "polys" and ("_words" in state or "polys" in state):
-            with _DECODE_LOCK:
-                if "polys" not in state:
-                    t0 = perf_counter()
-                    state["polys"] = _from_words(state["_words"])
-                    del state["_words"]
-                    log.debug("decoded %d polynomials in %.1f ms",
-                              SYSTEM_SIZE, (perf_counter() - t0) * 1e3)
-            return state["polys"]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @classmethod
+    def _of(cls, words: bytes, asset_sha256: str | None = None) -> PolynomialSystem:
+        """The system whose state is ``words``; only its 32 term counts are checked."""
+        head = memoryview(words)[:2 * SYSTEM_SIZE]
+        if len(head) < 2 * SYSTEM_SIZE or len(words) != 2 * (SYSTEM_SIZE + sum(head.cast("H"))):
+            raise SystemFormatError(f"{len(words)} bytes do not hold the terms they count")
+        system = object.__new__(cls)
+        system.words, system.asset_sha256, system._polys = words, asset_sha256, None
+        return system
+
+    @property
+    def term_words(self) -> list[memoryview]:
+        """Each polynomial's term words, in order."""
+        words = memoryview(self.words).cast("H")
+        ends = list(accumulate(words[:SYSTEM_SIZE], initial=SYSTEM_SIZE))
+        return [words[a:b] for a, b in zip(ends, ends[1:])]
+
+    @property
+    def polys(self) -> tuple[BooleanPolynomial, ...]:
+        with _POLYS_LOCK:
+            if self._polys is None:
+                t0 = perf_counter()
+                self._polys = _polynomials(self.term_words)
+                log.debug("built %d polynomials in %.1f ms",
+                          SYSTEM_SIZE, (perf_counter() - t0) * 1e3)
+        return self._polys
+
+    def __eq__(self, other):
+        return self.words == other.words if type(other) is PolynomialSystem else NotImplemented
+
+    def __hash__(self):
+        return hash(self.words)
+
+    def __repr__(self):
+        return f"<PolynomialSystem, words sha256 {hashlib.sha256(self.words).hexdigest()[:16]}>"
+
+    def __reduce__(self):
+        return PolynomialSystem._of, (self.words, self.asset_sha256)
 
     def eval_reference(self, x: int) -> int:
-        """32-bit output word assembled from the term-by-term oracle.
+        """32-bit output word, summed term by term from the term words.
 
         Output bit 31 (MSB) is polynomial 1, bit 0 is polynomial 32.
         """
         word = 0
-        for k, poly in enumerate(self.polys, start=1):
-            word |= poly.evaluate(x) << (SYSTEM_SIZE - k)
+        for k, terms in enumerate(self.term_words, start=1):
+            bit = 0
+            for term in map(_vars, terms):
+                value = 1
+                for v in term:
+                    value &= x >> (NUM_VARS - v)
+                bit ^= value & 1
+            word |= bit << (SYSTEM_SIZE - k)
         return word
 
     @property
     def constant_word(self) -> int:
         """eval at x=0: the 32 constant terms packed MSB-first."""
-        word = 0
-        for k, poly in enumerate(self.polys, start=1):
-            if poly.has_constant:
-                word |= 1 << (SYSTEM_SIZE - k)
-        return word
+        return sum(1 << (SYSTEM_SIZE - k)
+                   for k, terms in enumerate(self.term_words, start=1) if 0 in terms)
+
+
+def _polynomials(term_words) -> tuple[BooleanPolynomial, ...]:
+    """The polynomials of ``term_words``, one `Monomial` per distinct term."""
+    terms = {w: Monomial(_vars(w)) for ws in term_words for w in ws}
+    return tuple(BooleanPolynomial(k, frozenset(map(terms.__getitem__, ws)))
+                 for k, ws in enumerate(term_words, start=1))
 
 
 def load_system(text: str) -> PolynomialSystem:
@@ -131,63 +166,23 @@ def load_system(text: str) -> PolynomialSystem:
     indices, and PolynomialSyntaxError (annotated with the line number)
     for any bad definition line.
     """
-    polys = []
+    indices, counts, terms = [], array("H"), array("H")
+    known: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            polys.append(parse_polynomial(line))
+            index, words = parse_words(line, known)
         except PolynomialSyntaxError as exc:
             exc.line = lineno
             raise
-    system = PolynomialSystem(polys=tuple(polys))
-    log.debug("parsed %d polynomials, %d terms",
-              len(system.polys), sum(p.term_count for p in system.polys))
-    return system
-
-
-def _term_word(term: Monomial) -> int:
-    """``i << 8 | j`` for x_i x_j, ``i << 8`` for x_i, 0 for the constant."""
-    i, j = (*term.vars, 0, 0)[:2]
-    return i << 8 | j
-
-
-def _to_words(system: PolynomialSystem) -> array:
-    """The system as native uint16 words: the 32 term counts, then every
-    polynomial's terms as ``_term_word``s, in the parser's term order."""
-    words = array("H", [poly.term_count for poly in system.polys])
-    for poly in system.polys:
-        words.extend(sorted(map(_term_word, poly.terms)))
-    return words
-
-
-def _deferred(payload: memoryview, asset_sha256: str) -> PolynomialSystem:
-    """The system that ``_to_words`` wrote as the bytes ``payload``,
-    decoded when its ``polys`` is first read (see ``PolynomialSystem``).
-
-    It holds a copy of the words, so that it pickles and copies as a
-    parsed system does.
-    """
-    words = array("H")
-    words.frombytes(payload)
-    system = object.__new__(PolynomialSystem)
-    vars(system).update(_words=words, asset_sha256=asset_sha256)
-    return system
-
-
-def _from_words(words: array) -> tuple[BooleanPolynomial, ...]:
-    """The polynomials that ``_to_words`` wrote, one `Monomial` per
-    distinct term."""
-    terms = {w: Monomial(tuple(v for v in (w >> 8, w & 0xFF) if v))
-             for w in set(words[SYSTEM_SIZE:])}
-    polys = []
-    start = SYSTEM_SIZE
-    for k, count in enumerate(words[:SYSTEM_SIZE], start=1):
-        polys.append(BooleanPolynomial(
-            k, frozenset(map(terms.__getitem__, words[start:start + count]))))
-        start += count
-    return tuple(polys)
+        indices.append(index)
+        counts.append(len(words))
+        terms.extend(words)
+    _check_indices(indices)
+    log.debug("parsed %d polynomials, %d terms", len(counts), len(terms))
+    return PolynomialSystem._of((counts + terms).tobytes())
 
 
 @lru_cache(maxsize=None)
@@ -198,10 +193,9 @@ def load_default_system() -> PolynomialSystem:
     ``MAX_ASSET_CHARS`` characters, raises AssetError; no more than one
     character past the cap is read.  A text parsed before, by this
     version of the package, is read from its cache entry instead, whose
-    checksum is verified here; the system holds the entry's term words
-    and decodes them into polynomials when ``polys`` is first read.  An
-    entry that is missing, corrupted or cannot be written only costs a
-    parse, here.
+    checksum is verified: its term words are the system, which carries
+    the text's SHA-256 to key its compiled tables.  An entry that is
+    missing, corrupted or cannot be written only costs a parse, here.
     """
     path = os.environ.get(ASSET_ENV_VAR) or _SHIPPED_ASSET
     try:
@@ -216,12 +210,9 @@ def load_default_system() -> PolynomialSystem:
 
     sha = hashlib.sha256(text.encode()).hexdigest()
     try:
-        system, note = _cache.cached(
-            "system", sha,
-            build=lambda: replace(load_system(text), asset_sha256=sha),
-            decode=lambda payload: _deferred(payload, sha),
-            encode=_to_words)
+        words, note = _cache.cached("system", sha, lambda: load_system(text).words, bytes)
+        system = PolynomialSystem._of(words, sha)
     except (PolynomialSyntaxError, SystemFormatError) as exc:
         raise AssetError(f"{path}: {exc}") from exc
-    log.debug("%s%s", note, ", decoding deferred" if "_words" in vars(system) else "")
+    log.debug("%s", note)
     return system

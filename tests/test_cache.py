@@ -92,12 +92,12 @@ def parses(monkeypatch):
     """The lines parsed while the test runs."""
     lines = []
 
-    def spy(line):
+    def spy(line, *args):
         lines.append(line)
-        return parse_polynomial(line)
+        return parse_words(line, *args)
 
-    parse_polynomial = system_mod.parse_polynomial
-    monkeypatch.setattr(system_mod, "parse_polynomial", spy)
+    parse_words = system_mod.parse_words
+    monkeypatch.setattr(system_mod, "parse_words", spy)
     return lines
 
 
@@ -116,16 +116,16 @@ def builds(monkeypatch):
 
 
 @pytest.fixture()
-def decodes(monkeypatch):
-    """The term-word lists decoded into polynomials while the test runs."""
+def polys_built(monkeypatch):
+    """The term words that ``polys`` was built from while the test runs."""
     words = []
 
     def spy(w):
         words.append(w)
-        return from_words(w)
+        return polynomials(w)
 
-    from_words = system_mod._from_words
-    monkeypatch.setattr(system_mod, "_from_words", spy)
+    polynomials = system_mod._polynomials
+    monkeypatch.setattr(system_mod, "_polynomials", spy)
     return words
 
 
@@ -133,7 +133,7 @@ def _messages(caplog, logger):
     return [r.getMessage() for r in caplog.records if r.name == logger]
 
 
-def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, decodes,
+def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, polys_built,
                                                caplog):
     caplog.set_level(logging.DEBUG, logger="hfhash")
     first = load_default_system.__wrapped__()
@@ -142,47 +142,49 @@ def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, de
     assert first == system
     parses.clear()
     builds.clear()
-    decodes.clear()
+    polys_built.clear()
     caplog.clear()
 
     second = load_default_system.__wrapped__()
     compiled = compile_system(second)
-    assert parses == [] and builds == [] and decodes == []
+    assert parses == [] and builds == [] and polys_built == []
     assert compiled.constant_word == system.constant_word
     [loaded] = _messages(caplog, "hfhash.system")
-    assert re.fullmatch(r"system-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms, "
-                        r"decoding deferred", loaded)
+    assert re.fullmatch(r"system-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms", loaded)
     [compiled_log] = _messages(caplog, "hfhash.evaluator")
     assert re.search(r"; tables-[0-9_]+-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms$",
                      compiled_log)
 
     assert second == first
-    assert len(decodes) == 1
+    assert polys_built == []
     assert second.asset_sha256 == first.asset_sha256
     # one Monomial per distinct term, as the parser shares them
     terms = [term for poly in second.polys for term in poly.terms]
     assert len({id(term) for term in terms}) == 2081
     assert [compiled.eval_word(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)] == \
         [system.eval_reference(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)]
-    assert len(decodes) == 1
-    assert re.fullmatch(r"decoded 32 polynomials in [0-9.]+ ms",
+    assert len(polys_built) == 1
+    assert re.fullmatch(r"built 32 polynomials in [0-9.]+ ms",
                         _messages(caplog, "hfhash.system")[1])
 
 
-# --- a system read from the cache decodes its polynomials on first use
+# --- a system read from the cache builds its polynomials on first use
 
 @pytest.fixture(scope="module")
 def parsed():
-    return load_system(system_mod._SHIPPED_ASSET.read_text())
+    parsed = load_system(system_mod._SHIPPED_ASSET.read_text())
+    # built here, so that only the cached system's builds are counted
+    parsed.polys
+    return parsed
 
 
 @pytest.fixture()
-def deferred(cache, decodes):
-    """A system read from a warm cache, its polynomials not yet decoded."""
+def deferred(cache, polys_built):
+    """A system read from a warm cache, its polynomials not yet built."""
     load_default_system.__wrapped__()
     loaded = load_default_system.__wrapped__()
     assert loaded.asset_sha256 is not None
-    assert decodes == []
+    assert polys_built == []
     return loaded
 
 
@@ -191,37 +193,42 @@ def _term_sums(system):
     return oracle.constant_word, [oracle.eval_word(x) for x in EDGE_INPUTS]
 
 
-@pytest.mark.parametrize("reads_as_parsed", [
-    lambda d, p: d == p,
-    lambda d, p: p == d,
-    lambda d, p: not d != p and not p != d,
-    lambda d, p: hash(d) == hash(p),
-    lambda d, p: repr(d) == repr(p),
-    lambda d, p: d.constant_word == p.constant_word,
-    lambda d, p: [d.eval_reference(x) for x in EDGE_INPUTS] ==
-                 [p.eval_reference(x) for x in EDGE_INPUTS],
-    lambda d, p: _term_sums(d) == _term_sums(p),
-    lambda d, p: d.polys == p.polys,
+# each read, and how many times it builds the cached system's polynomials
+@pytest.mark.parametrize("reads_as_parsed, builds", [
+    (lambda d, p: d == p, 0),
+    (lambda d, p: p == d, 0),
+    (lambda d, p: not d != p and not p != d, 0),
+    (lambda d, p: hash(d) == hash(p), 0),
+    (lambda d, p: repr(d) == repr(p), 0),
+    (lambda d, p: d.constant_word == p.constant_word, 0),
+    (lambda d, p: [d.eval_reference(x) for x in EDGE_INPUTS] ==
+                  [p.eval_reference(x) for x in EDGE_INPUTS], 0),
+    (lambda d, p: _term_sums(d) == _term_sums(p), 0),
+    (lambda d, p: d.polys == p.polys, 1),
 ], ids=["eq", "eq-reflected", "ne", "hash", "repr", "constant_word", "eval_reference",
         "term-sum-oracle", "polys"])
-def test_deferred_system_reads_as_the_parsed_one(deferred, parsed, decodes, reads_as_parsed):
+def test_deferred_system_reads_as_the_parsed_one(deferred, parsed, polys_built, reads_as_parsed,
+                                                 builds):
     assert reads_as_parsed(deferred, parsed)
-    assert len(decodes) == 1
-    # decoded once: later reads use the same polynomials
+    assert len(polys_built) == builds
+    # built once: later reads use the same polynomials
     assert deferred.polys is deferred.polys
-    assert len(decodes) == 1
+    assert len(polys_built) == 1
 
 
-def test_deferred_system_pickles_and_copies(deferred, parsed, decodes):
+def test_deferred_system_pickles_and_copies(deferred, parsed, polys_built):
     copies = [pickle.loads(pickle.dumps(deferred)), copy.deepcopy(deferred),
               copy.copy(deferred)]
-    assert decodes == []
     assert copies == [parsed] * 3
     assert deferred == parsed
-    assert len(decodes) == 4
+    assert all(c.asset_sha256 == deferred.asset_sha256 for c in copies)
+    assert polys_built == []
+    # a copy builds its own view, equal to the original's
+    assert [c.polys for c in copies] == [parsed.polys] * 3
+    assert len(polys_built) == 3
 
 
-def test_threads_reading_polys_at_once_decode_once(deferred, parsed, decodes):
+def test_threads_reading_polys_at_once_decode_once(deferred, parsed, polys_built):
     barrier = threading.Barrier(4)
     seen = []
 
@@ -242,7 +249,7 @@ def test_threads_reading_polys_at_once_decode_once(deferred, parsed, decodes):
     assert not any(thread.is_alive() for thread in threads)
     assert len(seen) == 4 and all(polys is seen[0] for polys in seen)
     assert seen[0] == parsed.polys
-    assert len(decodes) == 1
+    assert len(polys_built) == 1
 
 
 def test_a_miss_logs_its_entry_and_stores_it(cache, caplog):

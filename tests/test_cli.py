@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -190,6 +191,26 @@ def test_poly_stats(runner):
     payload = json.loads(result.output)
     assert payload == {"index": 7, "terms": 1046, "quadratic": 1021,
                        "linear": 24, "constant": 1}
+
+
+# SHA-256 over every `poly` output of the shipped system and the text of
+# each polynomial, recorded before the parser produced term words directly
+POLY_OUTPUTS_SHA256 = "2650ad1366a797b6ea3770dcdde056b486c10ad2381e8500cd613d64e8a83b18"
+POLY_EVAL_INPUTS = ["0000000000000000", "ffffffffffffffff", "0123456789abcdef"]
+
+
+def test_poly_outputs_pinned(runner, system):
+    h = hashlib.sha256()
+    for k in range(1, 33):
+        runs = [["poly", "--index", str(k)], ["poly", "--index", str(k), "--json"]]
+        runs += [["poly", "--index", str(k), "--eval", x, *json_flag]
+                 for x in POLY_EVAL_INPUTS for json_flag in ([], ["--json"])]
+        for args in runs:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, args
+            h.update(result.output.encode())
+        h.update(f"{system.polys[k - 1]}\n".encode())
+    assert h.hexdigest() == POLY_OUTPUTS_SHA256
 
 
 def test_poly_rejects_bad_flags(runner):

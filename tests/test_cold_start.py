@@ -2,7 +2,7 @@
 numpy, on either evaluator; `hfhash sum` never imports the analysis
 module, and a start that finds the native build cached never imports
 `subprocess`.  A start that finds the parsed asset and the tables
-cached decodes no polynomial until a command reads one.
+cached builds no polynomial object until a command reads one.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -41,8 +41,8 @@ print("subprocess" in sys.modules)
 """
 
 # the child runs each command against the cache directory it is given and
-# prints how many times the cached system has been decoded so far
-DECODES = """
+# prints how many times the system's polynomials have been built so far
+POLYS_BUILT = """
 import sys
 from pathlib import Path
 from hfhash import _cache, cli, evaluator, system
@@ -50,12 +50,15 @@ if sys.argv[1] == "fallback":
     evaluator._load_pmap = lambda: (None, "disabled by test")
 evaluator._load_pmap()
 _cache.DIR = Path(sys.argv[2])
-decoded = []
-from_words = system._from_words
-system._from_words = lambda words: decoded.append(words) or from_words(words)
+built = []
+polynomials = system._polynomials
+system._polynomials = lambda words: built.append(words) or polynomials(words)
 for args in sys.argv[3:]:
-    cli.main(args.split(), standalone_mode=False)
-    print(len(decoded))
+    try:
+        cli.main(args.split(), standalone_mode=False)
+    except SystemExit:
+        pass
+    print("polynomials built:", len(built))
 """
 
 EVAL_WORD_TYPE = {"native": "builtin_function_or_method", "fallback": "function"}
@@ -112,6 +115,14 @@ def test_diffusion_never_imports_numpy(engine):
 def test_warm_sum_decodes_nothing_and_poly_decodes_once(engine, tmp_path):
     cache = tmp_path / "__pycache__"
     # the first start parses and fills the cache
-    assert _run(DECODES, engine, str(cache), "sum") == [f"{A_DIGEST}  -", "0"]
-    lines = _run(DECODES, engine, str(cache), "sum", "poly --index 1")
-    assert lines == [f"{A_DIGEST}  -", "0", POLY_1, "1"]
+    assert _run(POLYS_BUILT, engine, str(cache), "sum") == \
+        [f"{A_DIGEST}  -", "polynomials built: 0"]
+    lines = _run(POLYS_BUILT, engine, str(cache), "sum", "selftest", "avalanche --rounds 32",
+                 "diffusion --rounds 32", "poly --index 1")
+    assert lines[:2] == [f"{A_DIGEST}  -", "polynomials built: 0"]
+    assert [line for line in lines if line.startswith("polynomials built:")] == \
+        ["polynomials built: 0"] * 4 + ["polynomials built: 1"]
+    assert lines[-2:] == [POLY_1, "polynomials built: 1"]
+    # each report ran: selftest exits 1 with its honest 0/3
+    assert {"0/3 vectors pass", "avalanche over 448 single-bit flips (32 rounds)"} <= set(lines)
+    assert any(line.startswith("schedule diffusion, 32 rounds") for line in lines)

@@ -103,6 +103,9 @@ def test_monomial_validation():
         Monomial((0,))
     with pytest.raises(ValueError):
         Monomial((1, 2, 3))
+    for vars_ in [(1.0,), (True, 2), [1, 2]]:
+        with pytest.raises(ValueError):
+            Monomial(vars_)
 
 
 @pytest.mark.parametrize("vars_, message", [
@@ -111,7 +114,10 @@ def test_monomial_validation():
     ((0,), "variable index 0 outside 1..64"),
     ((65,), "variable index 65 outside 1..64"),
     ((1, 2, 3), "monomial degree 3 exceeds 2"),
-], ids=["repeated", "unordered", "zero", "above-64", "cubic"])
+    ((1.0,), "variable index 1.0 is not an int"),
+    ((True, 2), "variable index True is not an int"),
+    ([1, 2], "monomial variables must be a tuple, not list"),
+], ids=["repeated", "unordered", "zero", "above-64", "cubic", "float", "bool", "list"])
 def test_monomial_messages(vars_, message):
     with pytest.raises(ValueError) as exc_info:
         Monomial(vars_)
