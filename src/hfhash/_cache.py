@@ -98,15 +98,14 @@ def _read(kind: str, key: str) -> memoryview | None:
     return payload
 
 
-def cached(kind: str, source_sha256: str, build, decode, encode=lambda value: value):
+def cached(kind: str, source_sha256: str, build, decode):
     """A value derived from ``source_sha256`` and this package, and a note
     for the caller's debug log.
 
     On a hit the value is ``decode(payload)`` of the entry of ``kind``;
-    on a miss it is ``build()``, stored as the bytes-like
-    ``encode(value)``.  The note names the entry, says which it was and
-    how long it took, and why a miss was not stored.  Raises what
-    ``build`` raises.
+    on a miss it is ``build()``, a bytes-like value stored as it is.
+    The note names the entry, says which it was and how long it took,
+    and why a miss was not stored.  Raises what ``build`` raises.
     """
     t0 = perf_counter()
     parts = (sources_sha256(), sys.implementation.cache_tag, sys.byteorder, source_sha256)
@@ -119,7 +118,7 @@ def cached(kind: str, source_sha256: str, build, decode, encode=lambda value: va
     value = build()
     note = f"{name}: miss, built in {(perf_counter() - t0) * 1e3:.1f} ms"
     try:
-        _store(kind, key, encode(value))
+        _store(kind, key, value)
     except OSError as exc:
         note += f", not stored: {exc}"
     return value, note

@@ -2,129 +2,101 @@
 
 from __future__ import annotations
 
+import argparse
+import os
 import re
 import sys
-
-import click
+from contextlib import nullcontext
 
 from .core import BLOCK_BYTES, VALID_ROUNDS, Hasher, params_with, self_test
 from .system import AssetError, load_default_system
-
-_ROUNDS = click.Choice([str(r) for r in VALID_ROUNDS])
-_DIGITS = re.compile("[0-9]+")
 
 # thresholds the non-last-rule diffusion experiment is expected to meet
 _DIFFUSION_BOUNDS = {64: (">=", 165), 48: ("<", 75), 32: ("<", 75)}
 
 
-class _Main(click.Group):
-    """Reports a bad polynomial asset in one line, as a usage error."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except AssetError as exc:
-            click.echo(f"hfhash: {exc}", err=True)
-            ctx.exit(2)
+def _hex(n: int):
+    """An option type: ``n`` bytes as ASCII hex digits, kept as typed."""
+    def check(text: str) -> str:
+        if not re.fullmatch(f"[0-9a-fA-F]{{{2 * n}}}", text):
+            raise argparse.ArgumentTypeError(f"need exactly {2 * n} hex digits")
+        return text
+    return check
 
 
-@click.group(cls=_Main)
-def main():
-    """256-bit hash built on a quadratic Boolean polynomial system.
+def _sizes(text: str) -> tuple[int, ...]:
+    """An option type: comma-separated sizes in ASCII digits, capped."""
+    from .analysis import MAX_BENCH_SIZE
 
-    Set the environment variable HFHASH_POLYNOMIALS to a file path to
-    run every command against an alternate polynomial system.
-    """
+    parts = text.split(",")
+    if not all(re.fullmatch("[0-9]+", s) for s in parts):
+        raise argparse.ArgumentTypeError("sizes must be nonnegative integers")
+    try:
+        sizes = tuple(int(s) for s in parts)
+        too_big = any(s > MAX_BENCH_SIZE for s in sizes)
+    except ValueError:  # int() refuses more than 4300 digits
+        too_big = True
+    if too_big:
+        raise argparse.ArgumentTypeError(f"sizes must be at most {MAX_BENCH_SIZE} bytes")
+    return sizes
 
 
-def _params(rounds: str):
-    return params_with(rounds=int(rounds))
-
-
-def _hex_bytes(text: str, n: int, param_hint: str) -> bytes:
-    """``text`` as exactly ``n`` bytes written as ASCII hex digits."""
-    if not re.fullmatch(f"[0-9a-fA-F]{{{2 * n}}}", text):
-        raise click.BadParameter(f"need exactly {2 * n} hex digits",
-                                 param_hint=param_hint)
-    return bytes.fromhex(text)
+def _echo(text: str, file=None) -> None:
+    """Writes ``text`` and a newline in one call, then flushes."""
+    file = file or sys.stdout
+    file.write(text + "\n")
+    file.flush()
 
 
 def _emit(report, as_json: bool) -> None:
     if as_json:
         import json
-        click.echo(json.dumps(report.to_dict(), indent=2))
+        _echo(json.dumps(report.to_dict(), indent=2))
     else:
-        click.echo(report.format_text())
+        _echo(report.format_text())
 
 
-@main.command("sum")
-@click.argument("paths", nargs=-1, type=click.Path())
-@click.option("--upper", is_flag=True, help="Uppercase hex digits.")
-@click.option("--grouped", is_flag=True, help="Eight space-separated groups.")
-@click.option("--rounds", type=_ROUNDS, default="64", show_default=True)
 def cmd_sum(paths, upper, grouped, rounds):
     """Print `<digest>  <name>` for each file, or for standard input."""
-    params = _params(rounds)
+    params = params_with(rounds=int(rounds))
     failed = False
-    if not paths:
-        paths = ("-",)
-    for path in paths:
+    for path in paths or ["-"]:
         hasher = Hasher(params)
         try:
-            # "-" is standard input, which the context leaves open
-            with click.open_file(path, "rb") as fh:
+            # "-" is standard input, which stays open
+            with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
                 while chunk := fh.read(1 << 16):
                     hasher.update(chunk)
         except OSError as exc:
-            click.echo(f"hfhash: {path}: {exc.strerror or exc}", err=True)
+            _echo(f"hfhash: {path}: {exc.strerror or exc}", sys.stderr)
             failed = True
-            continue
-        digest = hasher.finalize().formatted(upper=upper, grouped=grouped)
-        click.echo(f"{digest}  {path}")
-    if failed:
-        sys.exit(1)
+        else:
+            _echo(f"{hasher.finalize().formatted(upper=upper, grouped=grouped)}  {path}")
+    return int(failed)
 
 
-@main.command("selftest")
-@click.option("--rounds", type=_ROUNDS, default="64", show_default=True)
-@click.option("--json", "as_json", is_flag=True)
 def cmd_selftest(rounds, as_json):
     """Compare the three reference digests against fresh computations."""
-    report = self_test(_params(rounds))
+    report = self_test(params_with(rounds=int(rounds)))
     _emit(report, as_json)
-    if not report.all_ok:
-        sys.exit(1)
+    return int(not report.all_ok)
 
 
-@main.command("avalanche")
-@click.option("--input", "input_hex", metavar="HEX112",
-              help="One-block message as 112 hex digits.")
-@click.option("--seed", type=int,
-              help="Derive the input block from this RNG seed.")
-@click.option("--rounds", type=_ROUNDS, default="64", show_default=True)
-@click.option("--json", "as_json", is_flag=True)
 def cmd_avalanche(input_hex, seed, rounds, as_json):
     """Flip all 448 bits of a one-block message, tabulate distances."""
     from . import analysis
 
-    if input_hex is not None and seed is not None:
-        raise click.UsageError("--input and --seed are mutually exclusive")
     if input_hex is not None:
-        message = _hex_bytes(input_hex, BLOCK_BYTES, "--input")
+        message = bytes.fromhex(input_hex)
     elif seed is not None:
         import random
         message = random.Random(seed).randbytes(BLOCK_BYTES)
     else:
         message = analysis.DEFAULT_AVALANCHE_INPUT
-    report = analysis.avalanche(message, _params(rounds))
-    _emit(report, as_json)
+    _emit(analysis.avalanche(message, params_with(rounds=int(rounds))), as_json)
+    return 0
 
 
-@main.command("diffusion")
-@click.option("--rounds", type=_ROUNDS, default="64", show_default=True)
-@click.option("--rule", type=click.Choice(["non-last", "last"]),
-              default="non-last", show_default=True)
-@click.option("--json", "as_json", is_flag=True)
 def cmd_diffusion(rounds, rule, as_json):
     """Schedule-difference weights for single-bit message flips.
 
@@ -136,21 +108,15 @@ def cmd_diffusion(rounds, rule, as_json):
 
     report = analysis.diffusion(rounds=int(rounds), rule=rule)
     _emit(report, as_json)
-    if rule == "non-last":
-        op, bound = _DIFFUSION_BOUNDS[report.rounds]
-        ok = (report.min_weight >= bound if op == ">="
-              else report.min_weight < bound)
-        if not as_json:
-            status = "ok" if ok else "VIOLATED"
-            click.echo(f"bound: min weight {op} {bound} [{status}]")
-        if not ok:
-            sys.exit(1)
+    if rule != "non-last":
+        return 0
+    op, bound = _DIFFUSION_BOUNDS[report.rounds]
+    ok = report.min_weight >= bound if op == ">=" else report.min_weight < bound
+    if not as_json:
+        _echo(f"bound: min weight {op} {bound} [{'ok' if ok else 'VIOLATED'}]")
+    return int(not ok)
 
 
-@main.command("bench")
-@click.option("--sizes", metavar="N,N,...",
-              help="Comma-separated input sizes in bytes.")
-@click.option("--json", "as_json", is_flag=True)
 def cmd_bench(sizes, as_json):
     """Time one-shot hashing against a SHA-256 baseline.
 
@@ -161,64 +127,96 @@ def cmd_bench(sizes, as_json):
     """
     from . import analysis
 
-    if sizes is None:
-        size_list = analysis.DEFAULT_BENCH_SIZES
-    else:
-        parts = sizes.split(",")
-        if not all(_DIGITS.fullmatch(s) for s in parts):
-            raise click.BadParameter("sizes must be nonnegative integers",
-                                     param_hint="--sizes")
-        try:
-            size_list = tuple(int(s) for s in parts)
-            too_big = any(s > analysis.MAX_BENCH_SIZE for s in size_list)
-        except ValueError:  # int() refuses more than 4300 digits
-            too_big = True
-        if too_big:
-            raise click.BadParameter(
-                f"sizes must be at most {analysis.MAX_BENCH_SIZE} bytes",
-                param_hint="--sizes")
-    report = analysis.bench(sizes=size_list)
-    _emit(report, as_json)
+    _emit(analysis.bench(sizes=sizes or analysis.DEFAULT_BENCH_SIZES), as_json)
+    return 0
 
 
-@main.command("poly")
-@click.option("--index", type=click.IntRange(1, 32), required=True,
-              help="Polynomial number k (1-based).")
-@click.option("--eval", "eval_hex", metavar="HEX16",
-              help="Evaluate on this 64-bit input.")
-@click.option("--stats", is_flag=True, help="Show term counts (default).")
-@click.option("--json", "as_json", is_flag=True)
 def cmd_poly(index, eval_hex, stats, as_json):
     """Inspect one polynomial of the shipped system."""
     import json
 
-    if eval_hex is not None and stats:
-        raise click.UsageError("--eval and --stats are mutually exclusive")
-    system = load_default_system()
-    poly = system.polys[index - 1]
+    poly = load_default_system().polys[index - 1]
     if eval_hex is not None:
-        x = int.from_bytes(_hex_bytes(eval_hex, 8, "--eval"), "big")
-        bit = poly.evaluate(x)
-        if as_json:
-            click.echo(json.dumps({"index": index, "input": eval_hex,
-                                   "value": bit}))
-        else:
-            click.echo(f"y_{index}({eval_hex}) = {bit}")
-        return
-    info = {
-        "index": index,
-        "terms": poly.term_count,
-        "quadratic": poly.quadratic_count,
-        "linear": poly.linear_count,
-        "constant": int(poly.has_constant),
-    }
-    if as_json:
-        click.echo(json.dumps(info))
+        bit = poly.evaluate(int(eval_hex, 16))
+        info = {"index": index, "input": eval_hex, "value": bit}
+        text = f"y_{index}({eval_hex}) = {bit}"
     else:
-        click.echo(f"y_{index}: {poly.term_count} terms "
-                   f"({poly.quadratic_count} quadratic, "
-                   f"{poly.linear_count} linear, "
-                   f"constant {int(poly.has_constant)})")
+        info = {"index": index, "terms": poly.term_count, "quadratic": poly.quadratic_count,
+                "linear": poly.linear_count, "constant": int(poly.has_constant)}
+        text = (f"y_{index}: {info['terms']} terms ({info['quadratic']} quadratic, "
+                f"{info['linear']} linear, constant {info['constant']})")
+    _echo(json.dumps(info) if as_json else text)
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    # --help but no -h, and every option spelled in full
+    def parser(adder, **kwargs):
+        new = adder(add_help=False, allow_abbrev=False, **kwargs)
+        new.add_argument("--help", action="help", help="Show this message and exit.")
+        return new
+
+    top = parser(argparse.ArgumentParser, prog="hfhash", description=main.__doc__)
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(fn, *, rounds=True, as_json=True):
+        new = parser(commands.add_parser, name=fn.__name__.removeprefix("cmd_"),
+                     help=fn.__doc__.split("\n")[0], description=fn.__doc__)
+        new.set_defaults(command=fn)
+        if rounds:
+            new.add_argument("--rounds", choices=[str(r) for r in VALID_ROUNDS],
+                             default="64", help="(default: %(default)s)")
+        if as_json:
+            new.add_argument("--json", dest="as_json", action="store_true")
+        return new
+
+    p = command(cmd_sum, as_json=False)
+    p.add_argument("paths", nargs="*", metavar="PATH")
+    p.add_argument("--upper", action="store_true", help="Uppercase hex digits.")
+    p.add_argument("--grouped", action="store_true", help="Eight space-separated groups.")
+    command(cmd_selftest)
+    p = command(cmd_avalanche).add_mutually_exclusive_group()
+    p.add_argument("--input", dest="input_hex", metavar="HEX112", type=_hex(BLOCK_BYTES),
+                   help="One-block message as 112 hex digits.")
+    p.add_argument("--seed", type=int, help="Derive the input block from this RNG seed.")
+    command(cmd_diffusion).add_argument("--rule", choices=["non-last", "last"],
+                                        default="non-last", help="(default: %(default)s)")
+    command(cmd_bench, rounds=False).add_argument(
+        "--sizes", metavar="N,N,...", type=_sizes, help="Comma-separated input sizes in bytes.")
+    p = command(cmd_poly, rounds=False)
+    # any int() spelling of 1 to 32
+    p.add_argument("--index", type=int, choices=range(1, 33), required=True, metavar="K",
+                   help="Polynomial number k (1-based).")
+    p = p.add_mutually_exclusive_group()
+    p.add_argument("--eval", dest="eval_hex", metavar="HEX16", type=_hex(8),
+                   help="Evaluate on this 64-bit input.")
+    p.add_argument("--stats", action="store_true", help="Show term counts (default).")
+    return top
+
+
+def main(argv=None, standalone_mode=True):
+    """256-bit hash built on a quadratic Boolean polynomial system.
+
+    Set the environment variable HFHASH_POLYNOMIALS to a file path to
+    run every command against an alternate polynomial system.
+    """
+    # exit codes: 0 success, 1 failed check, 2 usage error or bad asset;
+    # with standalone_mode false the code is returned, not exited with
+    try:
+        args = vars(_parser().parse_args(argv))
+        code = args.pop("command")(**args)
+    except SystemExit as exc:  # a usage error, or --help
+        code = exc.code
+    except AssetError as exc:
+        _echo(f"hfhash: {exc}", sys.stderr)
+        code = 2
+    except BrokenPipeError:
+        # the reader left; what is still buffered goes to /dev/null at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

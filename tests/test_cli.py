@@ -1,8 +1,16 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
+
+import hfhash
 
 from hfhash import _cache, cli, core, system
 from hfhash.analysis import DEFAULT_AVALANCHE_INPUT
@@ -14,181 +22,194 @@ ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
 EMPTY_DIGEST = "b3bbe9b3470b091357cc0115d21f1ab90d060f03fba017edbe2f52a3179bf0ac"
 
 
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def run_cli(monkeypatch):
+    """Runs `main(args)` in process, standard input fed from bytes."""
+    def invoke(args, stdin=b""):
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args, standalone_mode=False)
+        return Result(code, out.getvalue(), err.getvalue())
+    return invoke
 
 
-def test_sum_file(runner, tmp_path):
+def test_sum_file(run_cli, tmp_path):
     target = tmp_path / "payload.bin"
     target.write_bytes(b"a")
-    result = runner.invoke(main, ["sum", str(target)])
+    result = run_cli(["sum", str(target)])
     assert result.exit_code == 0
-    assert result.output == f"{A_DIGEST}  {target}\n"
+    assert result.stdout == f"{A_DIGEST}  {target}\n"
 
 
-def test_sum_stdin(runner):
-    result = runner.invoke(main, ["sum"], input=b"abc")
+def test_sum_stdin(run_cli):
+    result = run_cli(["sum"], stdin=b"abc")
     assert result.exit_code == 0
-    assert result.output == f"{ABC_DIGEST}  -\n"
+    assert result.stdout == f"{ABC_DIGEST}  -\n"
 
 
-def test_sum_empty_stdin(runner):
-    result = runner.invoke(main, ["sum"], input=b"")
+def test_sum_empty_stdin(run_cli):
+    result = run_cli(["sum"], stdin=b"")
     assert result.exit_code == 0
-    assert result.output.split()[0] == EMPTY_DIGEST
+    assert result.stdout.split()[0] == EMPTY_DIGEST
 
 
-def test_sum_grouped_upper(runner):
-    result = runner.invoke(main, ["sum", "--upper", "--grouped"], input=b"abc")
-    groups = result.output.split("  ")[0].split(" ")
+def test_sum_grouped_upper(run_cli):
+    result = run_cli(["sum", "--upper", "--grouped"], stdin=b"abc")
+    groups = result.stdout.split("  ")[0].split(" ")
     assert len(groups) == 8
     assert "".join(groups) == ABC_DIGEST.upper()
 
 
-def test_sum_keeps_going_past_unreadable_file(runner, tmp_path):
+def test_sum_keeps_going_past_unreadable_file(run_cli, tmp_path):
     good = tmp_path / "good.bin"
     good.write_bytes(b"a")
     missing = tmp_path / "missing.bin"
-    result = runner.invoke(main, ["sum", str(missing), str(good)])
+    result = run_cli(["sum", str(missing), str(good)])
     assert result.exit_code == 1
     assert str(missing) in result.stderr
-    assert A_DIGEST in result.output
+    assert A_DIGEST in result.stdout
 
 
-def test_sum_rounds_flag_changes_digest(runner):
-    r64 = runner.invoke(main, ["sum"], input=b"abc")
-    r32 = runner.invoke(main, ["sum", "--rounds", "32"], input=b"abc")
+def test_sum_rounds_flag_changes_digest(run_cli):
+    r64 = run_cli(["sum"], stdin=b"abc")
+    r32 = run_cli(["sum", "--rounds", "32"], stdin=b"abc")
     assert r32.exit_code == 0
-    assert r32.output != r64.output
+    assert r32.stdout != r64.stdout
 
 
-def test_selftest_reports_honest_failure(runner):
-    result = runner.invoke(main, ["selftest"])
+def test_selftest_reports_honest_failure(run_cli):
+    result = run_cli(["selftest"])
     assert result.exit_code == 1
-    assert "0/3 vectors pass" in result.output
+    assert "0/3 vectors pass" in result.stdout
 
 
-def test_selftest_json(runner):
-    result = runner.invoke(main, ["selftest", "--json"])
+def test_selftest_json(run_cli):
+    result = run_cli(["selftest", "--json"])
     assert result.exit_code == 1
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["total"] == 3
     assert payload["passed"] == 0
     assert len(payload["checks"]) == 3
 
 
-def test_diffusion_64_meets_bound(runner):
-    result = runner.invoke(main, ["diffusion", "--rounds", "64"])
+def test_diffusion_64_meets_bound(run_cli):
+    result = run_cli(["diffusion", "--rounds", "64"])
     assert result.exit_code == 0
-    assert "min weight 166" in result.output
-    assert "min weight >= 165 [ok]" in result.output
+    assert "min weight 166" in result.stdout
+    assert "min weight >= 165 [ok]" in result.stdout
 
 
-def test_diffusion_48_meets_bound(runner):
-    result = runner.invoke(main, ["diffusion", "--rounds", "48"])
+def test_diffusion_48_meets_bound(run_cli):
+    result = run_cli(["diffusion", "--rounds", "48"])
     assert result.exit_code == 0
-    assert "min weight 74" in result.output
-    assert "min weight < 75 [ok]" in result.output
+    assert "min weight 74" in result.stdout
+    assert "min weight < 75 [ok]" in result.stdout
 
 
-def test_diffusion_last_rule_skips_bound(runner):
-    result = runner.invoke(main, ["diffusion", "--rounds", "48",
-                                  "--rule", "last"])
+def test_diffusion_last_rule_skips_bound(run_cli):
+    result = run_cli(["diffusion", "--rounds", "48",
+                      "--rule", "last"])
     assert result.exit_code == 0
-    assert "bound" not in result.output
+    assert "bound" not in result.stdout
 
 
-def test_diffusion_json(runner):
-    result = runner.invoke(main, ["diffusion", "--rounds", "32", "--json"])
+def test_diffusion_json(run_cli):
+    result = run_cli(["diffusion", "--rounds", "32", "--json"])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["min_weight"] == 18
     assert len(payload["per_position_weights"]) == 448
 
 
-def test_avalanche_seed(runner):
-    result = runner.invoke(main, ["avalanche", "--seed", "7"])
+def test_avalanche_seed(run_cli):
+    result = run_cli(["avalanche", "--seed", "7"])
     assert result.exit_code == 0
-    assert "448 single-bit flips" in result.output
+    assert "448 single-bit flips" in result.stdout
 
 
-def test_avalanche_explicit_input_json(runner):
-    result = runner.invoke(main, ["avalanche", "--input",
-                                  DEFAULT_AVALANCHE_INPUT.hex(), "--json"])
+def test_avalanche_explicit_input_json(run_cli):
+    result = run_cli(["avalanche", "--input",
+                      DEFAULT_AVALANCHE_INPUT.hex(), "--json"])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["message"] == DEFAULT_AVALANCHE_INPUT.hex()
     assert 125 <= payload["summary"]["digest"]["mean"] <= 131
 
 
-def test_avalanche_bad_input_rejected(runner):
-    result = runner.invoke(main, ["avalanche", "--input", "abcd"])
+def test_avalanche_bad_input_rejected(run_cli):
+    result = run_cli(["avalanche", "--input", "abcd"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["avalanche", "--input", "zz" * 56])
+    result = run_cli(["avalanche", "--input", "zz" * 56])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("count", [56, 55])
-def test_avalanche_input_counts_hex_digits(runner, count):
+def test_avalanche_input_counts_hex_digits(run_cli, count):
     # bytes.fromhex skips whitespace, which made 56 spaced bytes a valid
     # block and 55 a message that counted the spaces as digits
-    result = runner.invoke(main, ["avalanche", "--input", " ".join(["00"] * count)])
+    result = run_cli(["avalanche", "--input", " ".join(["00"] * count)])
     assert result.exit_code == 2
-    assert "need exactly 112 hex digits" in result.output
+    assert "need exactly 112 hex digits" in result.stderr
 
 
-def test_avalanche_input_and_seed_conflict(runner):
-    result = runner.invoke(main, ["avalanche", "--input", "00" * 56,
-                                  "--seed", "3"])
+def test_avalanche_input_and_seed_conflict(run_cli):
+    result = run_cli(["avalanche", "--input", "00" * 56,
+                      "--seed", "3"])
     assert result.exit_code == 2
 
 
-def test_bench_custom_sizes(runner):
-    result = runner.invoke(main, ["bench", "--sizes", "500,1500"])
+def test_bench_custom_sizes(run_cli):
+    result = run_cli(["bench", "--sizes", "500,1500"])
     assert result.exit_code == 0
-    assert "sha256" in result.output
+    assert "sha256" in result.stdout
 
 
-def test_bench_rejects_bad_sizes(runner):
-    assert runner.invoke(main, ["bench", "--sizes", "abc"]).exit_code == 2
-    assert runner.invoke(main, ["bench", "--sizes", "-5"]).exit_code == 2
+def test_bench_rejects_bad_sizes(run_cli):
+    assert run_cli(["bench", "--sizes", "abc"]).exit_code == 2
+    assert run_cli(["bench", "--sizes", "-5"]).exit_code == 2
 
 
 @pytest.mark.parametrize("sizes", ["1_000", "\u0663", "7, 8", "+7", ""])
-def test_bench_sizes_are_ascii_digits(runner, sizes):
+def test_bench_sizes_are_ascii_digits(run_cli, sizes):
     # int() accepts underscores, other scripts' digits and spaces
-    result = runner.invoke(main, ["bench", "--sizes", sizes])
+    result = run_cli(["bench", "--sizes", sizes])
     assert result.exit_code == 2
-    assert "sizes must be nonnegative integers" in result.output
+    assert "sizes must be nonnegative integers" in result.stderr
 
 
 @pytest.mark.parametrize("size", [str(2**28), str(10**20),
                                   pytest.param("9" * 5000, id="5000-digits")])
-def test_bench_rejects_sizes_above_the_cap(runner, size):
+def test_bench_rejects_sizes_above_the_cap(run_cli, size):
     # random.Random.randbytes cannot make 2**28 bytes on CPython 3.11, and
     # int() refuses more than 4300 digits
-    result = runner.invoke(main, ["bench", "--sizes", size])
+    result = run_cli(["bench", "--sizes", size])
     assert result.exit_code == 2
-    assert f"sizes must be at most {2**28 - 1} bytes" in result.output
+    assert f"sizes must be at most {2**28 - 1} bytes" in result.stderr
 
 
-def test_poly_eval_constant_bits(runner):
-    result = runner.invoke(main, ["poly", "--index", "1",
-                                  "--eval", "0000000000000000"])
+def test_poly_eval_constant_bits(run_cli):
+    result = run_cli(["poly", "--index", "1",
+                      "--eval", "0000000000000000"])
     assert result.exit_code == 0
-    assert result.output.strip() == "y_1(0000000000000000) = 1"
-    result = runner.invoke(main, ["poly", "--index", "3",
-                                  "--eval", "0000000000000000"])
-    assert result.output.strip() == "y_3(0000000000000000) = 0"
+    assert result.stdout.strip() == "y_1(0000000000000000) = 1"
+    result = run_cli(["poly", "--index", "3",
+                      "--eval", "0000000000000000"])
+    assert result.stdout.strip() == "y_3(0000000000000000) = 0"
 
 
-def test_poly_stats(runner):
-    result = runner.invoke(main, ["poly", "--index", "7"])
+def test_poly_stats(run_cli):
+    result = run_cli(["poly", "--index", "7"])
     assert result.exit_code == 0
-    assert "1046 terms" in result.output
-    result = runner.invoke(main, ["poly", "--index", "7", "--stats", "--json"])
-    payload = json.loads(result.output)
+    assert "1046 terms" in result.stdout
+    result = run_cli(["poly", "--index", "7", "--stats", "--json"])
+    payload = json.loads(result.stdout)
     assert payload == {"index": 7, "terms": 1046, "quadratic": 1021,
                        "linear": 24, "constant": 1}
 
@@ -199,29 +220,141 @@ POLY_OUTPUTS_SHA256 = "2650ad1366a797b6ea3770dcdde056b486c10ad2381e8500cd613d64e
 POLY_EVAL_INPUTS = ["0000000000000000", "ffffffffffffffff", "0123456789abcdef"]
 
 
-def test_poly_outputs_pinned(runner, system):
+def test_poly_outputs_pinned(run_cli, system):
     h = hashlib.sha256()
     for k in range(1, 33):
         runs = [["poly", "--index", str(k)], ["poly", "--index", str(k), "--json"]]
         runs += [["poly", "--index", str(k), "--eval", x, *json_flag]
                  for x in POLY_EVAL_INPUTS for json_flag in ([], ["--json"])]
         for args in runs:
-            result = runner.invoke(main, args)
+            result = run_cli(args)
             assert result.exit_code == 0, args
-            h.update(result.output.encode())
+            h.update(result.stdout.encode())
         h.update(f"{system.polys[k - 1]}\n".encode())
     assert h.hexdigest() == POLY_OUTPUTS_SHA256
 
 
-def test_poly_rejects_bad_flags(runner):
-    assert runner.invoke(main, ["poly", "--index", "40"]).exit_code == 2
+# SHA-256 over the exit code, stdout and stderr of each run below,
+# recorded while the command line was built on click
+CLI_OUTPUTS_SHA256 = "da12cb07e21fa518e24a652f402be037923558ac900ff9236bbcfe3fd6d1aebd"
+CLI_RUNS = [
+    (["sum"], b"abc"),
+    (["sum", "payload.bin"], b""),
+    (["sum"], b""),
+    (["sum", "--upper"], b"abc"),
+    (["sum", "--grouped"], b"abc"),
+    (["sum", "--rounds", "32"], b"abc"),
+    (["sum", "--rounds", "48", "payload.bin"], b""),
+    (["sum", "missing.bin", "payload.bin"], b""),
+    (["sum", "subdir"], b""),
+    (["selftest"], b""),
+    (["selftest", "--json"], b""),
+    *[(["avalanche", "--rounds", "32", *how, *json_flag], b"")
+      for how in ([], ["--seed", "7"], ["--input", "5a" * 56])
+      for json_flag in ([], ["--json"])],
+    *[(["diffusion", "--rounds", rounds, "--rule", rule, *json_flag], b"")
+      for rounds in ["32", "48", "64"] for rule in ["non-last", "last"]
+      for json_flag in ([], ["--json"])],
+    (["poly", "--index", "5", "--eval", "0123456789ABCDEF"], b""),
+    (["poly", "--index", "5", "--eval", "0123456789ABCDEF", "--json"], b""),
+]
+
+
+def test_cli_outputs_pinned(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("payload.bin").write_bytes(bytes(range(256)) * 4)
+    Path("subdir").mkdir()
+    h = hashlib.sha256()
+    results = {}
+    for args, stdin in CLI_RUNS:
+        result = results[" ".join(args)] = run_cli(args, stdin)
+        h.update(f"{result.exit_code}\0{result.stdout}\0{result.stderr}\0".encode())
+    assert results["sum missing.bin payload.bin"].stderr == \
+        "hfhash: missing.bin: No such file or directory\n"
+    assert results["sum subdir"].stderr == "hfhash: subdir: Is a directory\n"
+    assert [results[k].exit_code for k in ("selftest", "selftest --json")] == [1, 1]
+    assert results["poly --index 5 --eval 0123456789ABCDEF"].stdout.startswith(
+        "y_5(0123456789ABCDEF) = ")
+    assert h.hexdigest() == CLI_OUTPUTS_SHA256
+
+
+def test_poly_rejects_bad_flags(run_cli):
+    assert run_cli(["poly", "--index", "40"]).exit_code == 2
     for bad in ["xyz", "-000000000000001", "+000000000000001", "0x00000000000001",
                 "0000_0000_0000_1", " 00000000000001 "]:
-        assert runner.invoke(main, ["poly", "--index", "1",
-                                    f"--eval={bad}"]).exit_code == 2, bad
-    assert runner.invoke(main, ["poly", "--index", "1", "--eval",
-                                "0" * 16, "--stats"]).exit_code == 2
-    assert runner.invoke(main, ["poly"]).exit_code == 2
+        assert run_cli(["poly", "--index", "1",
+                        f"--eval={bad}"]).exit_code == 2, bad
+    assert run_cli(["poly", "--index", "1", "--eval",
+                    "0" * 16, "--stats"]).exit_code == 2
+    assert run_cli(["poly"]).exit_code == 2
+
+
+@pytest.mark.parametrize("args", [[], ["nope"], ["Sum"], ["-h"], ["sum", "-h"]])
+def test_missing_or_unknown_command_is_a_usage_error(run_cli, args):
+    result = run_cli(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "usage: hfhash" in result.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"], ["sum", "--help"], ["poly", "--help"]])
+def test_help_exits_0(run_cli, args):
+    result = run_cli(args)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: hfhash")
+
+
+@pytest.mark.parametrize("args", [["sum", "--up"], ["sum", "--rou", "32"],
+                                  ["selftest", "--js"], ["avalanche", "--see", "7"],
+                                  ["diffusion", "--ru", "last"], ["bench", "--size", "1"],
+                                  ["poly", "--ind", "1"], ["poly", "--index", "1", "--st"]])
+def test_options_cannot_be_abbreviated(run_cli, args):
+    assert run_cli(args).exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["sum", "selftest", "avalanche", "diffusion"])
+@pytest.mark.parametrize("rounds", ["064", " 64", "64 ", "+64", "64.0", "0x40", "6_4", ""])
+def test_rounds_takes_only_the_exact_strings(run_cli, command, rounds):
+    result = run_cli([command, "--rounds", rounds])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("spelling", ["7", " 7", "7 ", "+7", "07", "0_7", "\u0667"])
+def test_index_takes_any_int_spelling(run_cli, spelling):
+    # the index is read by int(), so whatever int() reads as 7 is 7
+    assert run_cli(["poly", "--index", spelling]) == run_cli(["poly", "--index", "7"])
+
+
+@pytest.mark.parametrize("spelling", ["0", "33", "-7", "7.0", "0x7", "", "seven",
+                                      pytest.param("9" * 5000, id="5000-digits")])
+def test_index_refuses_what_is_not_1_to_32(run_cli, spelling):
+    result = run_cli(["poly", "--index", spelling])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_avalanche_takes_a_negative_seed(run_cli):
+    result = run_cli(["avalanche", "--rounds", "32", "--seed", "-3"])
+    assert result.exit_code == 0
+    assert result == run_cli(["avalanche", "--rounds", "32", "--seed=-3"])
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_closed_pipe_exits_without_traceback(tmp_path, copies):
+    # the reader takes 10 bytes of the first line and leaves; a second
+    # line then meets a closed pipe: exit 1, and nothing on stderr
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(bytes(range(256)) * 800)
+    src = str(Path(hfhash.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "hfhash.cli", "sum", *[str(payload)] * copies],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=300) == copies - 1
+    assert stderr == b""
 
 
 @pytest.fixture()
@@ -236,53 +369,53 @@ def uncached_asset(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "load_default_system", system.load_default_system.__wrapped__)
 
 
-def test_malformed_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+def test_malformed_asset_is_one_line_usage_error(run_cli, tmp_path, monkeypatch,
                                                  uncached_asset):
     asset = tmp_path / "bad.txt"
     asset.write_text("y_{1} = x_{99}\n")
     monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
-    result = runner.invoke(main, ["sum"], input=b"a")
+    result = run_cli(["sum"], stdin=b"a")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"hfhash: {asset}: line 1, col 9: variable index 99 outside 1..64\n"
 
 
-def test_overlong_polynomial_index_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+def test_overlong_polynomial_index_is_one_line_usage_error(run_cli, tmp_path, monkeypatch,
                                                           uncached_asset):
     # int() refuses the 5000-digit index; that must not escape as a traceback
     asset = tmp_path / "long.txt"
     asset.write_text("y_{" + "1" * 5000 + "} = x_{1}\n")
     monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
-    result = runner.invoke(main, ["sum"], input=b"a")
+    result = run_cli(["sum"], stdin=b"a")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == (f"hfhash: {asset}: line 1, col 3: "
                              "polynomial index of 5000 digits is too long\n")
 
 
-def test_missing_shipped_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+def test_missing_shipped_asset_is_one_line_usage_error(run_cli, tmp_path, monkeypatch,
                                                        uncached_asset):
     asset = tmp_path / "polynomials.txt"
     monkeypatch.delenv(ASSET_ENV_VAR, raising=False)
     monkeypatch.setattr(system, "_SHIPPED_ASSET", asset)
-    result = runner.invoke(main, ["sum"], input=b"a")
+    result = run_cli(["sum"], stdin=b"a")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"hfhash: {asset}: No such file or directory\n"
 
 
-def test_missing_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+def test_missing_asset_is_one_line_usage_error(run_cli, tmp_path, monkeypatch,
                                                uncached_asset):
     asset = tmp_path / "missing.txt"
     monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
-    result = runner.invoke(main, ["sum"], input=b"a")
+    result = run_cli(["sum"], stdin=b"a")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"hfhash: {asset}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("source", ["over-cap-file", "dev-zero"])
-def test_oversized_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
+def test_oversized_asset_is_one_line_usage_error(run_cli, tmp_path, monkeypatch,
                                                  uncached_asset, source):
     if source == "dev-zero":
         asset = "/dev/zero"
@@ -290,7 +423,7 @@ def test_oversized_asset_is_one_line_usage_error(runner, tmp_path, monkeypatch,
         asset = tmp_path / "big.txt"
         asset.write_bytes(b"#" * (MAX_ASSET_CHARS + 1))
     monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
-    result = runner.invoke(main, ["poly", "--index", "1"])
+    result = run_cli(["poly", "--index", "1"])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"hfhash: {asset}: more than {MAX_ASSET_CHARS} characters\n"

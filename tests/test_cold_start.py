@@ -1,13 +1,15 @@
 """The hash path, `hfhash sum` and the analysis reports never import
 numpy, on either evaluator; `hfhash sum` never imports the analysis
 module, and a start that finds the native build cached never imports
-`subprocess`.  A start that finds the parsed asset and the tables
+`subprocess`.  No command imports click, and each runs where it cannot
+be imported.  A start that finds the parsed asset and the tables
 cached builds no polynomial object until a command reads one.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
 """
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -23,8 +25,8 @@ ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
 
 # the child prints the digest of b"abc", the output of each command, the
-# type of the production eval_word and whether numpy, hfhash.analysis and
-# subprocess were imported
+# type of the production eval_word and whether numpy, hfhash.analysis,
+# subprocess and click were imported
 CHILD = """
 import sys
 import hfhash
@@ -38,7 +40,11 @@ print(type(hfhash.default_params().system.eval_word).__name__)
 print("numpy" in sys.modules)
 print("hfhash.analysis" in sys.modules)
 print("subprocess" in sys.modules)
+print("click" in sys.modules)
 """
+
+# makes `import click` fail in the child, as where it is not installed
+NO_CLICK = 'import sys\nsys.modules["click"] = None\n'
 
 # the child runs each command against the cache directory it is given and
 # prints how many times the system's polynomials have been built so far
@@ -54,15 +60,16 @@ built = []
 polynomials = system._polynomials
 system._polynomials = lambda words: built.append(words) or polynomials(words)
 for args in sys.argv[3:]:
-    try:
-        cli.main(args.split(), standalone_mode=False)
-    except SystemExit:
-        pass
+    cli.main(args.split(), standalone_mode=False)
     print("polynomials built:", len(built))
 """
 
 EVAL_WORD_TYPE = {"native": "builtin_function_or_method", "fallback": "function"}
 POLY_1 = "y_1: 1041 terms (1007 quadratic, 33 linear, constant 1)"
+# SHA-256 of the standard output of `sum` (of b"a"), `selftest`,
+# `poly --index 1` and `diffusion --rounds 32`, recorded while the
+# command line was built on click
+NO_CLICK_OUTPUT_SHA256 = "000cbfbc5850331d613a9eb1b84df53997fa400f7d08d55a58ab92f5f8b5c417"
 
 
 def _run(script, *args):
@@ -95,21 +102,31 @@ def engine(request):
 def test_hash_path_and_sum_never_import_numpy(engine):
     lines = _run_child(engine, "sum")
     assert lines == [ABC_DIGEST, f"{A_DIGEST}  -", EVAL_WORD_TYPE[engine],
-                     "False", "False", "False"]
+                     "False", "False", "False", "False"]
 
 
 def test_avalanche_never_imports_numpy(engine):
     lines = _run_child(engine, "avalanche --rounds 32")
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("avalanche")
-    assert lines[-4:] == [EVAL_WORD_TYPE[engine], "False", "True", "False"]
+    assert lines[-5:] == [EVAL_WORD_TYPE[engine], "False", "True", "False", "False"]
 
 
 def test_diffusion_never_imports_numpy(engine):
     lines = _run_child(engine, "diffusion --rounds 48")
     assert lines[0] == ABC_DIGEST
     assert lines[1].startswith("schedule diffusion, 48 rounds")
-    assert lines[-4:] == [EVAL_WORD_TYPE[engine], "False", "True", "False"]
+    assert lines[-5:] == [EVAL_WORD_TYPE[engine], "False", "True", "False", "False"]
+
+
+def test_commands_run_where_click_cannot_be_imported(engine):
+    lines = _run(NO_CLICK + CHILD, engine, "sum", "selftest", "poly --index 1",
+                 "diffusion --rounds 32")
+    assert lines[0] == ABC_DIGEST
+    output = "".join(f"{line}\n" for line in lines[1:-5])
+    assert hashlib.sha256(output.encode()).hexdigest() == NO_CLICK_OUTPUT_SHA256
+    # the last line sees the None entry that blocks the import
+    assert lines[-5:] == [EVAL_WORD_TYPE[engine], "False", "True", "False", "True"]
 
 
 def test_warm_sum_decodes_nothing_and_poly_decodes_once(engine, tmp_path):
