@@ -5,10 +5,7 @@ inspect, verify and measure it."""
 from .anf import (
     NUM_VARS,
     SYSTEM_SIZE,
-    BooleanPolynomial,
-    Monomial,
     PolynomialSyntaxError,
-    parse_polynomial,
 )
 from .core import (
     CANONICAL_LAYOUT,
@@ -46,7 +43,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ASSET_ENV_VAR",
     "AssetError",
-    "BooleanPolynomial",
     "CANONICAL_LAYOUT",
     "CompiledSystem",
     "Digest",
@@ -55,7 +51,6 @@ __all__ = [
     "IV",
     "LayoutConfig",
     "LayoutError",
-    "Monomial",
     "NUM_VARS",
     "PolynomialSyntaxError",
     "PolynomialSystem",

@@ -1,14 +1,12 @@
-"""Boolean polynomials in algebraic normal form over x_1 .. x_64.
+"""Boolean polynomials in algebraic normal form over x_1 .. x_64, as term words.
 
 The compression map of HF-hash is built from 32 quadratic GF(2)
-polynomials.  This module knows how to parse them from their text form,
-validate them, and evaluate them term by term.  A term, ``x_i x_j``
-(i < j), ``x_i`` or ``1``, is one 16-bit term word, ``i << 8 | j``,
-``i << 8`` or 0: ``parse_words`` turns a line straight into its term
-words, all that a `system.PolynomialSystem` holds.  `_word` is the one
-check of a term (variable range, repeats, order), which `Monomial` runs
-too.  The term-by-term evaluator here is the ANF reference that
-``hfhash poly --eval`` and the tests use.
+polynomials.  A term, ``x_i x_j`` (i < j), ``x_i`` or ``1``, is one
+16-bit term word, ``i << 8 | j``, ``i << 8`` or 0, and a polynomial is
+its set of term words: ``parse_words`` turns a line of the text form
+straight into its ascending words, all that a `system.PolynomialSystem`
+holds.  `_word` is the one check of a term (variable range, repeats,
+order), and `_vars` the inverse that the oracles of ``evaluator`` read.
 
 Bit convention: for a 64-bit input word x, variable x_1 is the MOST
 significant bit and x_64 the least significant one.
@@ -17,7 +15,6 @@ significant bit and x_64 the least significant one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 NUM_VARS = 64
 SYSTEM_SIZE = 32
@@ -48,14 +45,9 @@ class PolynomialSyntaxError(ValueError):
 
 def _word(vars: tuple[int, ...]) -> int:
     """The term word of the term ``vars``: (), (i,) or (i, j) with i < j,
-    each index an int in 1..64.  Raises ValueError for any other."""
-    if type(vars) is not tuple:
-        raise ValueError(f"monomial variables must be a tuple, not {type(vars).__name__}")
-    if len(vars) > 2:
-        raise ValueError(f"monomial degree {len(vars)} exceeds 2")
+    each index in 1..64.  Raises ValueError for an index out of range or
+    a pair out of order."""
     for v in vars:
-        if type(v) is not int:
-            raise ValueError(f"variable index {v!r} is not an int")
         if not 1 <= v <= NUM_VARS:
             raise ValueError(f"variable index {v} outside 1..{NUM_VARS}")
     i, j = (*vars, 0, 0)[:2]
@@ -69,77 +61,6 @@ def _vars(word: int) -> tuple[int, ...]:
     """The variables of the term ``word``: the inverse of ``_word``."""
     i, j = word >> 8, word & 0xFF
     return (i, j) if j else (i,) if i else ()
-
-
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """One ANF term: (), (i,) or (i, j) with i < j, meaning 1, x_i or x_i*x_j."""
-
-    vars: tuple[int, ...]
-
-    def __post_init__(self):
-        _word(self.vars)
-
-    @property
-    def degree(self) -> int:
-        return len(self.vars)
-
-    def evaluate(self, x: int) -> int:
-        """Value of this term at a 64-bit input (x_1 = MSB)."""
-        r = 1
-        for v in self.vars:
-            r &= x >> (NUM_VARS - v)
-        return r & 1
-
-    def __str__(self) -> str:
-        if not self.vars:
-            return "1"
-        return "".join(f"x_{{{v}}}" for v in self.vars)
-
-
-ONE = Monomial(())
-
-
-@dataclass(frozen=True)
-class BooleanPolynomial:
-    """A set of distinct ANF terms, summed over GF(2)."""
-
-    index: int
-    terms: frozenset[Monomial]
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    @property
-    def quadratic_count(self) -> int:
-        return sum(1 for t in self.terms if t.degree == 2)
-
-    @property
-    def linear_count(self) -> int:
-        return sum(1 for t in self.terms if t.degree == 1)
-
-    @property
-    def has_constant(self) -> bool:
-        return ONE in self.terms
-
-    def evaluate(self, x: int) -> int:
-        """Term-by-term GF(2) sum at a 64-bit input.  The reference oracle."""
-        acc = 0
-        for t in self.terms:
-            acc ^= t.evaluate(x)
-        return acc
-
-    def canonical_str(self) -> str:
-        """Render with terms sorted by (degree, indices); parses back to self."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no text form")
-        ordered = sorted(self.terms, key=lambda t: (-t.degree, t.vars))
-        body = " + ".join(str(t) for t in ordered)
-        return f"y_{{{self.index}}} = {body}"
-
-    def __str__(self) -> str:
-        return self.canonical_str()
 
 
 def _parse_term(text: str, position: int) -> int:
@@ -193,10 +114,3 @@ def parse_words(line: str, known: dict[str, int]) -> tuple[int, list[int]]:
         offset += len(chunk) + 1
     return index, sorted(words)
 
-
-def parse_polynomial(line: str) -> BooleanPolynomial:
-    """Parse one `y_{k} = term + ...` definition line, as ``parse_words`` does."""
-    index, words = parse_words(line, {})
-    # built in term order, as ``PolynomialSystem.polys`` builds it, so
-    # that a polynomial iterates the same however it was made
-    return BooleanPolynomial(index, frozenset(Monomial(_vars(w)) for w in words))

@@ -67,8 +67,8 @@ def cmd_sum(paths, upper, grouped, rounds):
             with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
                 while chunk := fh.read(1 << 16):
                     hasher.update(chunk)
-        except OSError as exc:
-            _echo(f"hfhash: {path}: {exc.strerror or exc}", sys.stderr)
+        except (OSError, ValueError) as exc:  # open() refuses a NUL byte with ValueError
+            _echo(f"hfhash: {path}: {getattr(exc, 'strerror', None) or exc}", sys.stderr)
             failed = True
         else:
             _echo(f"{hasher.finalize().formatted(upper=upper, grouped=grouped)}  {path}")
@@ -135,14 +135,17 @@ def cmd_poly(index, eval_hex, stats, as_json):
     """Inspect one polynomial of the shipped system."""
     import json
 
-    poly = load_default_system().polys[index - 1]
+    system = load_default_system()
     if eval_hex is not None:
-        bit = poly.evaluate(int(eval_hex, 16))
+        bit = system.eval_reference(int(eval_hex, 16)) >> (32 - index) & 1
         info = {"index": index, "input": eval_hex, "value": bit}
         text = f"y_{index}({eval_hex}) = {bit}"
     else:
-        info = {"index": index, "terms": poly.term_count, "quadratic": poly.quadratic_count,
-                "linear": poly.linear_count, "constant": int(poly.has_constant)}
+        words = system.term_words[index - 1]
+        info = {"index": index, "terms": len(words),
+                "quadratic": sum(1 for w in words if w & 0xFF),
+                "linear": sum(1 for w in words if w >> 8 and not w & 0xFF),
+                "constant": int(0 in words)}
         text = (f"y_{index}: {info['terms']} terms ({info['quadratic']} quadratic, "
                 f"{info['linear']} linear, constant {info['constant']})")
     _echo(json.dumps(info) if as_json else text)

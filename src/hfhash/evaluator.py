@@ -124,9 +124,10 @@ def _collect_masks(system: PolynomialSystem) -> list[list[int]]:
     m = [[0] * NUM_VARS for _ in range(NUM_VARS)]
     for k, terms in enumerate(system.term_words, start=1):
         out_bit = 1 << (SYSTEM_SIZE - k)
-        for term in map(_vars, terms):
-            if term:
-                m[term[0] - 1][term[-1] - 1] ^= out_bit
+        for w in terms:
+            i, j = w >> 8, w & 0xFF
+            if i:
+                m[i - 1][(j or i) - 1] ^= out_bit
     return m
 
 

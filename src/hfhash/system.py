@@ -6,11 +6,10 @@ truth and the asset can be audited by independent text splitting.  The
 environment variable ``HFHASH_POLYNOMIALS`` may point at an alternate
 asset file for research use.
 
-A system is its term words (see ``anf``): the tables and the oracles
-read nothing else, and ``load_default_system`` keeps them in the
-package's cache (see ``_cache``), so that a later start of the same
-asset neither parses it nor, unless it reads ``polys``, builds a
-polynomial object.
+A system is its term words (see ``anf``): the tables, the oracles,
+the ANF reference and ``hfhash poly`` read nothing else, and
+``load_default_system`` keeps them in the package's cache (see
+``_cache``), so that a later start of the same asset does not parse it.
 """
 
 from __future__ import annotations
@@ -18,22 +17,16 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import threading
 from array import array
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from time import perf_counter
 
 from . import _cache
 from .anf import (
     NUM_VARS,
     SYSTEM_SIZE,
-    BooleanPolynomial,
-    Monomial,
     PolynomialSyntaxError,
-    _vars,
-    _word,
     parse_words,
 )
 
@@ -43,8 +36,6 @@ ASSET_ENV_VAR = "HFHASH_POLYNOMIALS"
 _SHIPPED_ASSET = Path(__file__).with_name("data") / "polynomials.txt"
 # the most characters an asset may hold; the shipped one has 485,759
 MAX_ASSET_CHARS = 4 << 20
-# the threads that first read a system's ``polys`` at once build it once
-_POLYS_LOCK = threading.Lock()
 
 
 class SystemFormatError(ValueError):
@@ -74,21 +65,14 @@ class PolynomialSystem:
 
     The state is ``words``, bytes of native uint16: the 32 term counts,
     then each polynomial's term words in ascending order; equality,
-    hashing, ``repr``, pickling and copying come from it alone.  ``polys``
-    is a view of it, built on its first read with one shared `Monomial`
-    per distinct term.  ``asset_sha256``, the SHA-256 of the asset text
-    that ``load_default_system`` read, keys the cached tables; it is None
-    for a system made any other way, and takes no part in equality.
+    hashing, ``repr``, pickling and copying come from it alone.
+    ``asset_sha256``, the SHA-256 of the asset text that
+    ``load_default_system`` read, keys the cached tables; it is None for
+    a system made any other way, and takes no part in equality.  A
+    system is made by ``_of``, from its words.
     """
 
-    __slots__ = ("words", "asset_sha256", "_polys")
-
-    def __init__(self, polys, asset_sha256: str | None = None):
-        _check_indices([poly.index for poly in polys])
-        words = array("H", [poly.term_count for poly in polys])
-        for poly in polys:
-            words.extend(sorted(_word(term.vars) for term in poly.terms))
-        self.words, self.asset_sha256, self._polys = words.tobytes(), asset_sha256, None
+    __slots__ = ("words", "asset_sha256")
 
     @classmethod
     def _of(cls, words: bytes, asset_sha256: str | None = None) -> PolynomialSystem:
@@ -97,7 +81,7 @@ class PolynomialSystem:
         if len(head) < 2 * SYSTEM_SIZE or len(words) != 2 * (SYSTEM_SIZE + sum(head.cast("H"))):
             raise SystemFormatError(f"{len(words)} bytes do not hold the terms they count")
         system = object.__new__(cls)
-        system.words, system.asset_sha256, system._polys = words, asset_sha256, None
+        system.words, system.asset_sha256 = words, asset_sha256
         return system
 
     @property
@@ -106,16 +90,6 @@ class PolynomialSystem:
         words = memoryview(self.words).cast("H")
         ends = list(accumulate(words[:SYSTEM_SIZE], initial=SYSTEM_SIZE))
         return [words[a:b] for a, b in zip(ends, ends[1:])]
-
-    @property
-    def polys(self) -> tuple[BooleanPolynomial, ...]:
-        with _POLYS_LOCK:
-            if self._polys is None:
-                t0 = perf_counter()
-                self._polys = _polynomials(self.term_words)
-                log.debug("built %d polynomials in %.1f ms",
-                          SYSTEM_SIZE, (perf_counter() - t0) * 1e3)
-        return self._polys
 
     def __eq__(self, other):
         return self.words == other.words if type(other) is PolynomialSystem else NotImplemented
@@ -132,16 +106,16 @@ class PolynomialSystem:
     def eval_reference(self, x: int) -> int:
         """32-bit output word, summed term by term from the term words.
 
-        Output bit 31 (MSB) is polynomial 1, bit 0 is polynomial 32.
+        Output bit 31 (MSB) is polynomial 1, bit 0 is polynomial 32.  A
+        term's value is the product of the values at its word's two bytes,
+        where byte 0 (no variable) reads as 1.
         """
+        values = [1] + [x >> (NUM_VARS - v) & 1 for v in range(1, NUM_VARS + 1)]
         word = 0
         for k, terms in enumerate(self.term_words, start=1):
             bit = 0
-            for term in map(_vars, terms):
-                value = 1
-                for v in term:
-                    value &= x >> (NUM_VARS - v)
-                bit ^= value & 1
+            for w in terms:
+                bit ^= values[w >> 8] & values[w & 0xFF]
             word |= bit << (SYSTEM_SIZE - k)
         return word
 
@@ -150,13 +124,6 @@ class PolynomialSystem:
         """eval at x=0: the 32 constant terms packed MSB-first."""
         return sum(1 << (SYSTEM_SIZE - k)
                    for k, terms in enumerate(self.term_words, start=1) if 0 in terms)
-
-
-def _polynomials(term_words) -> tuple[BooleanPolynomial, ...]:
-    """The polynomials of ``term_words``, one `Monomial` per distinct term."""
-    terms = {w: Monomial(_vars(w)) for ws in term_words for w in ws}
-    return tuple(BooleanPolynomial(k, frozenset(map(terms.__getitem__, ws)))
-                 for k, ws in enumerate(term_words, start=1))
 
 
 def load_system(text: str) -> PolynomialSystem:

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from hfhash import _cache
-from hfhash.anf import NUM_VARS, SYSTEM_SIZE, PolynomialSyntaxError
+from hfhash.anf import NUM_VARS, SYSTEM_SIZE, PolynomialSyntaxError, _vars
 from hfhash.system import (
     ASSET_ENV_VAR,
     MAX_ASSET_CHARS,
@@ -31,13 +31,15 @@ def _asset_lines():
             if ln.strip() and not ln.lstrip().startswith("#")]
 
 
-def test_shipped_system_has_32_ordered_polynomials(system):
-    assert len(system.polys) == SYSTEM_SIZE
-    assert [p.index for p in system.polys] == list(range(1, SYSTEM_SIZE + 1))
+def test_shipped_asset_defines_y1_to_y32_in_order(system):
+    assert len(system.term_words) == SYSTEM_SIZE
+    # the asset's lines name y_1 .. y_32 in order
+    assert [int(line.split("}", 1)[0].removeprefix("y_{")) for line in _asset_lines()] == \
+        list(range(1, SYSTEM_SIZE + 1))
 
 
 def test_term_counts_match_frozen_audit(system):
-    assert tuple(p.term_count for p in system.polys) == EXPECTED_TERM_COUNTS
+    assert tuple(map(len, system.term_words)) == EXPECTED_TERM_COUNTS
     assert sum(EXPECTED_TERM_COUNTS) == 33396
 
 
@@ -45,29 +47,32 @@ def test_term_counts_match_text_splitting(system):
     # independent oracle: count '+'-separated chunks straight off the text
     lines = _asset_lines()
     assert len(lines) == SYSTEM_SIZE
-    for line, poly in zip(lines, system.polys):
+    for line, words in zip(lines, system.term_words):
         body = line.split("=", 1)[1]
-        assert len(body.split("+")) == poly.term_count
+        assert len(body.split("+")) == len(words)
 
 
 def test_parser_shares_one_monomial_per_distinct_term(system):
-    terms = [term for poly in system.polys for term in poly.terms]
+    terms = [w for words in system.term_words for w in words]
     assert len(terms) == 33396
-    # every valid term (1 + 64 + 64*63/2 = 2081) occurs, each as one object
-    assert len(set(terms)) == len({id(term) for term in terms}) == 2081
+    # every valid term (1 + 64 + 64*63/2 = 2081) occurs, each as one word
+    assert len(set(terms)) == 2081
 
 
 def test_all_variables_within_64(system):
-    for poly in system.polys:
-        for term in poly.terms:
-            assert all(1 <= v <= NUM_VARS for v in term.vars)
+    for words in system.term_words:
+        for w in words:
+            assert all(1 <= v <= NUM_VARS for v in _vars(w))
 
 
 def test_audit_breakdown_sums(system):
-    for poly in system.polys:
-        assert poly.term_count == poly.quadratic_count + poly.linear_count + poly.has_constant
-        assert poly.has_constant in (0, 1)
-        assert poly.term_count == EXPECTED_TERM_COUNTS[poly.index - 1]
+    for k, words in enumerate(system.term_words, start=1):
+        quadratic = sum(1 for w in words if w & 0xFF)
+        linear = sum(1 for w in words if w >> 8 and not w & 0xFF)
+        constant = list(words).count(0)
+        assert len(words) == quadratic + linear + constant
+        assert constant in (0, 1)
+        assert len(words) == EXPECTED_TERM_COUNTS[k - 1]
 
 
 def test_load_logs_one_summary_line(caplog):
@@ -87,8 +92,8 @@ def test_constant_word_frozen(system):
 def test_all_ones_input_gives_term_parity(system):
     # every term evaluates to 1 at the all-ones input
     x = 2**64 - 1
-    for poly in system.polys:
-        assert poly.evaluate(x) == poly.term_count % 2
+    parities = [len(words) % 2 for words in system.term_words]
+    assert system.eval_reference(x) == int("".join(map(str, parities)), 2)
 
 
 def test_wrong_polynomial_count_rejected():

@@ -15,7 +15,6 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -115,26 +114,11 @@ def builds(monkeypatch):
     return widths
 
 
-@pytest.fixture()
-def polys_built(monkeypatch):
-    """The term words that ``polys`` was built from while the test runs."""
-    words = []
-
-    def spy(w):
-        words.append(w)
-        return polynomials(w)
-
-    polynomials = system_mod._polynomials
-    monkeypatch.setattr(system_mod, "_polynomials", spy)
-    return words
-
-
 def _messages(caplog, logger):
     return [r.getMessage() for r in caplog.records if r.name == logger]
 
 
-def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, polys_built,
-                                               caplog):
+def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, caplog):
     caplog.set_level(logging.DEBUG, logger="hfhash")
     first = load_default_system.__wrapped__()
     compile_system(first)
@@ -142,12 +126,11 @@ def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, po
     assert first == system
     parses.clear()
     builds.clear()
-    polys_built.clear()
     caplog.clear()
 
     second = load_default_system.__wrapped__()
     compiled = compile_system(second)
-    assert parses == [] and builds == [] and polys_built == []
+    assert parses == [] and builds == []
     assert compiled.constant_word == system.constant_word
     [loaded] = _messages(caplog, "hfhash.system")
     assert re.fullmatch(r"system-[0-9a-f]{16}\.\S+\.bin: hit in [0-9.]+ ms", loaded)
@@ -156,35 +139,24 @@ def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, po
                      compiled_log)
 
     assert second == first
-    assert polys_built == []
     assert second.asset_sha256 == first.asset_sha256
-    # one Monomial per distinct term, as the parser shares them
-    terms = [term for poly in second.polys for term in poly.terms]
-    assert len({id(term) for term in terms}) == 2081
     assert [compiled.eval_word(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)] == \
         [system.eval_reference(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)]
-    assert len(polys_built) == 1
-    assert re.fullmatch(r"built 32 polynomials in [0-9.]+ ms",
-                        _messages(caplog, "hfhash.system")[1])
 
 
-# --- a system read from the cache builds its polynomials on first use
+# --- a system read from the cache reads as the parsed one
 
 @pytest.fixture(scope="module")
 def parsed():
-    parsed = load_system(system_mod._SHIPPED_ASSET.read_text())
-    # built here, so that only the cached system's builds are counted
-    parsed.polys
-    return parsed
+    return load_system(system_mod._SHIPPED_ASSET.read_text())
 
 
 @pytest.fixture()
-def deferred(cache, polys_built):
-    """A system read from a warm cache, its polynomials not yet built."""
+def deferred(cache):
+    """A system read from a warm cache."""
     load_default_system.__wrapped__()
     loaded = load_default_system.__wrapped__()
     assert loaded.asset_sha256 is not None
-    assert polys_built == []
     return loaded
 
 
@@ -193,63 +165,31 @@ def _term_sums(system):
     return oracle.constant_word, [oracle.eval_word(x) for x in EDGE_INPUTS]
 
 
-# each read, and how many times it builds the cached system's polynomials
-@pytest.mark.parametrize("reads_as_parsed, builds", [
-    (lambda d, p: d == p, 0),
-    (lambda d, p: p == d, 0),
-    (lambda d, p: not d != p and not p != d, 0),
-    (lambda d, p: hash(d) == hash(p), 0),
-    (lambda d, p: repr(d) == repr(p), 0),
-    (lambda d, p: d.constant_word == p.constant_word, 0),
-    (lambda d, p: [d.eval_reference(x) for x in EDGE_INPUTS] ==
-                  [p.eval_reference(x) for x in EDGE_INPUTS], 0),
-    (lambda d, p: _term_sums(d) == _term_sums(p), 0),
-    (lambda d, p: d.polys == p.polys, 1),
+@pytest.mark.parametrize("reads_as_parsed", [
+    lambda d, p: d == p,
+    lambda d, p: p == d,
+    lambda d, p: not d != p and not p != d,
+    lambda d, p: hash(d) == hash(p),
+    lambda d, p: repr(d) == repr(p),
+    lambda d, p: d.constant_word == p.constant_word,
+    lambda d, p: [d.eval_reference(x) for x in EDGE_INPUTS] ==
+                 [p.eval_reference(x) for x in EDGE_INPUTS],
+    lambda d, p: _term_sums(d) == _term_sums(p),
+    lambda d, p: [w.tolist() for w in d.term_words] == [w.tolist() for w in p.term_words],
 ], ids=["eq", "eq-reflected", "ne", "hash", "repr", "constant_word", "eval_reference",
-        "term-sum-oracle", "polys"])
-def test_deferred_system_reads_as_the_parsed_one(deferred, parsed, polys_built, reads_as_parsed,
-                                                 builds):
+        "term-sum-oracle", "term_words"])
+def test_deferred_system_reads_as_the_parsed_one(deferred, parsed, reads_as_parsed):
     assert reads_as_parsed(deferred, parsed)
-    assert len(polys_built) == builds
-    # built once: later reads use the same polynomials
-    assert deferred.polys is deferred.polys
-    assert len(polys_built) == 1
 
 
-def test_deferred_system_pickles_and_copies(deferred, parsed, polys_built):
+def test_deferred_system_pickles_and_copies(deferred, parsed):
     copies = [pickle.loads(pickle.dumps(deferred)), copy.deepcopy(deferred),
               copy.copy(deferred)]
     assert copies == [parsed] * 3
     assert deferred == parsed
     assert all(c.asset_sha256 == deferred.asset_sha256 for c in copies)
-    assert polys_built == []
-    # a copy builds its own view, equal to the original's
-    assert [c.polys for c in copies] == [parsed.polys] * 3
-    assert len(polys_built) == 3
-
-
-def test_threads_reading_polys_at_once_decode_once(deferred, parsed, polys_built):
-    barrier = threading.Barrier(4)
-    seen = []
-
-    def read():
-        barrier.wait(timeout=60)
-        seen.append(deferred.polys)
-
-    threads = [threading.Thread(target=read) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(seen) == 4 and all(polys is seen[0] for polys in seen)
-    assert seen[0] == parsed.polys
-    assert len(polys_built) == 1
+    assert [[w.tolist() for w in c.term_words] for c in copies] == \
+        [[w.tolist() for w in parsed.term_words]] * 3
 
 
 def test_a_miss_logs_its_entry_and_stores_it(cache, caplog):
@@ -314,8 +254,9 @@ def test_edited_asset_is_a_miss(system, cache, tmp_path, monkeypatch, parses):
     parses.clear()
     edited = load_default_system.__wrapped__()
     assert len(parses) == 32
-    assert edited.polys[0].term_count == system.polys[0].term_count - 1
-    assert edited.polys[1:] == system.polys[1:]
+    assert len(edited.term_words[0]) == len(system.term_words[0]) - 1
+    assert [w.tolist() for w in edited.term_words[1:]] == \
+        [w.tolist() for w in system.term_words[1:]]
     compiled = compile_system(edited)
     rng = random.Random(3)
     for x in [rng.getrandbits(64) for _ in range(20)]:

@@ -77,6 +77,16 @@ def test_sum_keeps_going_past_unreadable_file(run_cli, tmp_path):
     assert A_DIGEST in result.stdout
 
 
+def test_sum_reports_a_path_holding_a_nul_byte(run_cli, tmp_path):
+    # open() refuses such a path with ValueError, not OSError
+    good = tmp_path / "good.bin"
+    good.write_bytes(b"a")
+    result = run_cli(["sum", "a\0b", str(good)])
+    assert result.exit_code == 1
+    assert result.stderr == "hfhash: a\0b: embedded null byte\n"
+    assert result.stdout == f"{A_DIGEST}  {good}\n"
+
+
 def test_sum_rounds_flag_changes_digest(run_cli):
     r64 = run_cli(["sum"], stdin=b"abc")
     r32 = run_cli(["sum", "--rounds", "32"], stdin=b"abc")
@@ -220,7 +230,7 @@ POLY_OUTPUTS_SHA256 = "2650ad1366a797b6ea3770dcdde056b486c10ad2381e8500cd613d64e
 POLY_EVAL_INPUTS = ["0000000000000000", "ffffffffffffffff", "0123456789abcdef"]
 
 
-def test_poly_outputs_pinned(run_cli, system):
+def test_poly_outputs_pinned(run_cli, system, canonical_text):
     h = hashlib.sha256()
     for k in range(1, 33):
         runs = [["poly", "--index", str(k)], ["poly", "--index", str(k), "--json"]]
@@ -230,7 +240,7 @@ def test_poly_outputs_pinned(run_cli, system):
             result = run_cli(args)
             assert result.exit_code == 0, args
             h.update(result.stdout.encode())
-        h.update(f"{system.polys[k - 1]}\n".encode())
+        h.update(f"{canonical_text(k, system.term_words[k - 1])}\n".encode())
     assert h.hexdigest() == POLY_OUTPUTS_SHA256
 
 

@@ -3,7 +3,7 @@ numpy, on either evaluator; `hfhash sum` never imports the analysis
 module, and a start that finds the native build cached never imports
 `subprocess`.  No command imports click, and each runs where it cannot
 be imported.  A start that finds the parsed asset and the tables
-cached builds no polynomial object until a command reads one.
+cached runs every command, `poly` too, from them.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -46,22 +46,17 @@ print("click" in sys.modules)
 # makes `import click` fail in the child, as where it is not installed
 NO_CLICK = 'import sys\nsys.modules["click"] = None\n'
 
-# the child runs each command against the cache directory it is given and
-# prints how many times the system's polynomials have been built so far
-POLYS_BUILT = """
+# the child runs each command against the cache directory it is given
+WARM_START = """
 import sys
 from pathlib import Path
-from hfhash import _cache, cli, evaluator, system
+from hfhash import _cache, cli, evaluator
 if sys.argv[1] == "fallback":
     evaluator._load_pmap = lambda: (None, "disabled by test")
 evaluator._load_pmap()
 _cache.DIR = Path(sys.argv[2])
-built = []
-polynomials = system._polynomials
-system._polynomials = lambda words: built.append(words) or polynomials(words)
 for args in sys.argv[3:]:
     cli.main(args.split(), standalone_mode=False)
-    print("polynomials built:", len(built))
 """
 
 EVAL_WORD_TYPE = {"native": "builtin_function_or_method", "fallback": "function"}
@@ -132,14 +127,11 @@ def test_commands_run_where_click_cannot_be_imported(engine):
 def test_warm_sum_decodes_nothing_and_poly_decodes_once(engine, tmp_path):
     cache = tmp_path / "__pycache__"
     # the first start parses and fills the cache
-    assert _run(POLYS_BUILT, engine, str(cache), "sum") == \
-        [f"{A_DIGEST}  -", "polynomials built: 0"]
-    lines = _run(POLYS_BUILT, engine, str(cache), "sum", "selftest", "avalanche --rounds 32",
+    assert _run(WARM_START, engine, str(cache), "sum") == [f"{A_DIGEST}  -"]
+    lines = _run(WARM_START, engine, str(cache), "sum", "selftest", "avalanche --rounds 32",
                  "diffusion --rounds 32", "poly --index 1")
-    assert lines[:2] == [f"{A_DIGEST}  -", "polynomials built: 0"]
-    assert [line for line in lines if line.startswith("polynomials built:")] == \
-        ["polynomials built: 0"] * 4 + ["polynomials built: 1"]
-    assert lines[-2:] == [POLY_1, "polynomials built: 1"]
+    assert lines[0] == f"{A_DIGEST}  -"
+    assert lines[-1] == POLY_1
     # each report ran: selftest exits 1 with its honest 0/3
     assert {"0/3 vectors pass", "avalanche over 448 single-bit flips (32 rounds)"} <= set(lines)
     assert any(line.startswith("schedule diffusion, 32 rounds") for line in lines)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfhash import _cache, evaluator
-from hfhash.anf import ONE, BooleanPolynomial, Monomial
+from hfhash.anf import _word
 from hfhash.core import default_params
 from hfhash.evaluator import (
     CompiledSystem,
@@ -75,7 +75,8 @@ def test_constant_word_agrees_on_a_mixed_system():
 
 def _edge_system():
     """Every fourth polynomial is zero; the others are constant-only,
-    linear-only, or quadratic, linear and constant terms mixed."""
+    linear-only, or quadratic, linear and constant terms mixed.  A zero
+    polynomial has no text form, so the words are built directly."""
     rng = random.Random(23)
 
     def terms(k):
@@ -83,16 +84,17 @@ def _edge_system():
         if kind == 0:
             return set()
         if kind == 1:
-            return {ONE}
-        linear = {Monomial((v,)) for v in rng.sample(range(1, 65), 5)}
+            return {_word(())}
+        linear = {_word((v,)) for v in rng.sample(range(1, 65), 5)}
         if kind == 2:
             return linear
-        quadratic = {Monomial(tuple(sorted(rng.sample(range(1, 65), 2))))
+        quadratic = {_word(tuple(sorted(rng.sample(range(1, 65), 2))))
                      for _ in range(20)}
-        return quadratic | linear | {ONE}
+        return quadratic | linear | {_word(())}
 
-    return PolynomialSystem(tuple(BooleanPolynomial(k, frozenset(terms(k)))
-                                  for k in range(1, 33)))
+    polys = [sorted(terms(k)) for k in range(1, 33)]
+    counts = array("H", map(len, polys))
+    return PolynomialSystem._of((counts + array("H", sum(polys, []))).tobytes())
 
 
 def test_every_evaluator_agrees_on_an_edge_system(monkeypatch):
