@@ -5,11 +5,12 @@ Three kinds of entry live there, next to the bytecode: the native
 ``p``.  An entry is named ``<kind>-<key><suffix>``, the key being the
 first 16 hex digits of a SHA-256 of everything the entry is derived
 from, so that a changed input is a new name and a miss.  A data entry
-(``cached``, suffix ``DATA_SUFFIX``) is keyed by the SHA-256 of its
-source text plus that of every package source file, the interpreter's
-bytecode tag and the byte order; it begins with the SHA-256 of its
-payload, which every read checks, and holds a plain array: nothing in
-it is ever executed.
+(``cached``, suffix ``DATA_SUFFIX``) is keyed by a SHA-256 over the
+bytes it is made from (the asset text, or a system's term words), the
+digest of every package source file, the interpreter's bytecode tag
+and the byte order; it begins with the SHA-256 of its payload, which
+every read checks, and holds a plain array: nothing in it is ever
+executed.
 
 An entry is written under a temporary name of its own process and
 thread and renamed into place, so a reader never sees a partial file;
@@ -98,9 +99,9 @@ def _read(kind: str, key: str) -> memoryview | None:
     return payload
 
 
-def cached(kind: str, source_sha256: str, build, decode):
-    """A value derived from ``source_sha256`` and this package, and a note
-    for the caller's debug log.
+def cached(kind: str, source, build, decode):
+    """A value derived from the bytes-like ``source`` and this package,
+    and a note for the caller's debug log.
 
     On a hit the value is ``decode(payload)`` of the entry of ``kind``;
     on a miss it is ``build()``, a bytes-like value stored as it is.
@@ -108,8 +109,10 @@ def cached(kind: str, source_sha256: str, build, decode):
     and why a miss was not stored.  Raises what ``build`` raises.
     """
     t0 = perf_counter()
-    parts = (sources_sha256(), sys.implementation.cache_tag, sys.byteorder, source_sha256)
-    key = hashlib.sha256("\0".join(parts).encode()).hexdigest()[:16]
+    parts = (sources_sha256(), sys.implementation.cache_tag, sys.byteorder, "")
+    h = hashlib.sha256("\0".join(parts).encode())
+    h.update(source)  # no concatenated copy of a source that may be the whole asset
+    key = h.hexdigest()[:16]
     name = path(kind, key).name
     payload = _read(kind, key)
     if payload is not None:

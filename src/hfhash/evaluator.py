@@ -16,11 +16,11 @@ Three routes with identical semantics:
   778,240 bytes of tables, which stay in L2.  When the extension cannot
   be built, a Python closure evaluates 28 byte-pair tables (widths
   ``_BYTE_WIDTHS``, 7.3 MB), which only this fallback builds: fewer
-  lookups suit Python better than a smaller buffer.  The buffer of a
-  system that ``load_default_system`` loaded is stored in the package's
-  cache (see ``_cache``), one entry per chunk widths, keyed by the
-  asset's SHA-256 and the package sources, and later compiles of the
-  same system read it back instead of building it.
+  lookups suit Python better than a smaller buffer.  Every compiled
+  system's buffer is stored in the package's cache (see ``_cache``),
+  one entry per chunk widths, keyed by the system's term words and the
+  package sources, and later compiles of the same words read it back
+  instead of building it.
 * ``TermSumEvaluator`` -- vectorized term-by-term summation operating
   directly on the system's term words (one uint64 mask per term, the
   constant's being 0; a term is satisfied iff ``x & mask == mask``).
@@ -71,19 +71,21 @@ _BUILD_LOCK = threading.Lock()
 def _load_pmap():
     """The native ``_pmap`` module and how it was found, or None and why not.
 
-    The extension is built once per source version into the package's
-    cache (see ``_cache``) as ``_pmap-<source sha256 prefix><suffix>``,
-    so concurrent first uses cannot load a partial file, and a new build
-    removes the builds of other source versions for this interpreter; a
-    process that has one loaded keeps its mapping.  ``lru_cache`` lets
-    every thread that misses run the body, so the threads of one process
-    take turns: the first builds, the rest find its build.  Never raises:
+    The extension is built once per source, compiler and flags into the
+    package's cache (see ``_cache``) as ``_pmap-<key><suffix>``, the key
+    hashing ``_pmap.c``, ``_COMPILER`` and ``_CFLAGS``.  A build is
+    renamed into place, so concurrent first uses cannot load a partial
+    file, and removes the other builds for this interpreter; a process
+    that has one loaded keeps its mapping.  ``lru_cache`` lets every
+    thread that misses run the body, so the threads of one process take
+    turns: the first builds, the rest find its build.  Never raises:
     without a compiler, a writable cache directory or a successful build,
     the caller falls back to the Python evaluator.
     """
     with _BUILD_LOCK:
         try:
-            digest = hashlib.sha256(_PMAP_SOURCE.read_bytes()).hexdigest()[:16]
+            how_built = "\0".join(("", _COMPILER, *_CFLAGS)).encode()
+            digest = hashlib.sha256(_PMAP_SOURCE.read_bytes() + how_built).hexdigest()[:16]
             suffix = EXTENSION_SUFFIXES[0]
             target = _cache.path("_pmap", digest, suffix)
             if target.exists():
@@ -258,15 +260,13 @@ class CompiledSystem:
 
 
 def _tables(system: PolynomialSystem, widths: tuple[int, ...]) -> tuple[memoryview, str]:
-    """``_pair_tables`` of ``system`` for ``widths``, and a note on where
-    they came from: the cache, for a system that ``load_default_system``
-    loaded (it carries its asset's SHA-256), or a fresh build."""
+    """``_pair_tables`` of ``system`` for ``widths``, read from the cache
+    entry keyed by the system's words or built and stored there, and the
+    cache's note on which."""
     def build():
         return _pair_tables(_collect_masks(system), system.constant_word, widths)
 
-    if system.asset_sha256 is None:
-        return build(), "tables built"
-    return _cache.cached("tables-" + "_".join(map(str, widths)), system.asset_sha256,
+    return _cache.cached("tables-" + "_".join(map(str, widths)), system.words,
                          build, decode=lambda payload: payload.cast("I"))
 
 

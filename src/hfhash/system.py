@@ -63,26 +63,22 @@ def _check_indices(indices) -> None:
 class PolynomialSystem:
     """Exactly 32 polynomials; position k-1 holds index k.
 
-    The state is ``words``, bytes of native uint16: the 32 term counts,
-    then each polynomial's term words in ascending order; equality,
-    hashing, ``repr``, pickling and copying come from it alone.
-    ``asset_sha256``, the SHA-256 of the asset text that
-    ``load_default_system`` read, keys the cached tables; it is None for
-    a system made any other way, and takes no part in equality.  A
-    system is made by ``_of``, from its words.
+    ``PolynomialSystem(words)`` is the system whose state is ``words``,
+    bytes of native uint16: the 32 term counts, then each polynomial's
+    term words in ascending order.  Only the counts are checked: words
+    that do not hold the terms they count raise SystemFormatError.  The
+    words are the system's whole identity: equality, hashing, ``repr``,
+    pickling, copying and the key of its cached tables come from them
+    alone.
     """
 
-    __slots__ = ("words", "asset_sha256")
+    __slots__ = ("words",)
 
-    @classmethod
-    def _of(cls, words: bytes, asset_sha256: str | None = None) -> PolynomialSystem:
-        """The system whose state is ``words``; only its 32 term counts are checked."""
+    def __init__(self, words: bytes):
         head = memoryview(words)[:2 * SYSTEM_SIZE]
         if len(head) < 2 * SYSTEM_SIZE or len(words) != 2 * (SYSTEM_SIZE + sum(head.cast("H"))):
             raise SystemFormatError(f"{len(words)} bytes do not hold the terms they count")
-        system = object.__new__(cls)
-        system.words, system.asset_sha256 = words, asset_sha256
-        return system
+        self.words = words
 
     @property
     def term_words(self) -> list[memoryview]:
@@ -101,7 +97,7 @@ class PolynomialSystem:
         return f"<PolynomialSystem, words sha256 {hashlib.sha256(self.words).hexdigest()[:16]}>"
 
     def __reduce__(self):
-        return PolynomialSystem._of, (self.words, self.asset_sha256)
+        return PolynomialSystem, (self.words,)
 
     def eval_reference(self, x: int) -> int:
         """32-bit output word, summed term by term from the term words.
@@ -149,7 +145,7 @@ def load_system(text: str) -> PolynomialSystem:
         terms.extend(words)
     _check_indices(indices)
     log.debug("parsed %d polynomials, %d terms", len(counts), len(terms))
-    return PolynomialSystem._of((counts + terms).tobytes())
+    return PolynomialSystem((counts + terms).tobytes())
 
 
 @lru_cache(maxsize=None)
@@ -159,10 +155,10 @@ def load_default_system() -> PolynomialSystem:
     An asset that cannot be read or parsed, or holds more than
     ``MAX_ASSET_CHARS`` characters, raises AssetError; no more than one
     character past the cap is read.  A text parsed before, by this
-    version of the package, is read from its cache entry instead, whose
-    checksum is verified: its term words are the system, which carries
-    the text's SHA-256 to key its compiled tables.  An entry that is
-    missing, corrupted or cannot be written only costs a parse, here.
+    version of the package, is read from its cache entry, keyed by the
+    text's bytes, instead; the entry's checksum is verified and its term
+    words are the system.  An entry that is missing, corrupted or cannot
+    be written only costs a parse, here.
     """
     path = os.environ.get(ASSET_ENV_VAR) or _SHIPPED_ASSET
     try:
@@ -175,10 +171,10 @@ def load_default_system() -> PolynomialSystem:
     if len(text) > MAX_ASSET_CHARS:
         raise AssetError(f"{path}: more than {MAX_ASSET_CHARS} characters")
 
-    sha = hashlib.sha256(text.encode()).hexdigest()
     try:
-        words, note = _cache.cached("system", sha, lambda: load_system(text).words, bytes)
-        system = PolynomialSystem._of(words, sha)
+        words, note = _cache.cached("system", text.encode(), lambda: load_system(text).words,
+                                    bytes)
+        system = PolynomialSystem(words)
     except (PolynomialSyntaxError, SystemFormatError) as exc:
         raise AssetError(f"{path}: {exc}") from exc
     log.debug("%s", note)

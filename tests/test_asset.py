@@ -109,6 +109,22 @@ def test_out_of_order_indices_rejected():
         load_system("\n".join(lines))
 
 
+def test_a_system_is_made_from_its_words(system):
+    with pytest.raises(TypeError):
+        PolynomialSystem()
+    made = PolynomialSystem(system.words)
+    assert made == system and made.words is system.words
+
+
+@pytest.mark.parametrize("words", [
+    b"", b"\0", bytes(2 * SYSTEM_SIZE - 2), b"\1\0" + bytes(2 * SYSTEM_SIZE - 2),
+    bytes(2 * SYSTEM_SIZE + 2),
+], ids=["empty", "one-byte", "31-counts", "a-count-without-its-term", "a-term-not-counted"])
+def test_words_that_miscount_their_terms_are_rejected(words):
+    with pytest.raises(SystemFormatError, match="do not hold the terms they count"):
+        PolynomialSystem(words)
+
+
 def test_blank_lines_and_comments_ignored():
     lines = ["# header", ""]
     for k in range(1, 33):

@@ -139,7 +139,6 @@ def test_second_load_parses_and_builds_nothing(system, cache, parses, builds, ca
                      compiled_log)
 
     assert second == first
-    assert second.asset_sha256 == first.asset_sha256
     assert [compiled.eval_word(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)] == \
         [system.eval_reference(x) for x in (0, 1, 2**64 - 1, 0x0123456789ABCDEF)]
 
@@ -152,11 +151,12 @@ def parsed():
 
 
 @pytest.fixture()
-def deferred(cache):
+def deferred(cache, parses):
     """A system read from a warm cache."""
     load_default_system.__wrapped__()
+    parses.clear()
     loaded = load_default_system.__wrapped__()
-    assert loaded.asset_sha256 is not None
+    assert parses == []
     return loaded
 
 
@@ -182,12 +182,17 @@ def test_deferred_system_reads_as_the_parsed_one(deferred, parsed, reads_as_pars
     assert reads_as_parsed(deferred, parsed)
 
 
-def test_deferred_system_pickles_and_copies(deferred, parsed):
+def test_deferred_system_pickles_and_copies(deferred, parsed, builds):
     copies = [pickle.loads(pickle.dumps(deferred)), copy.deepcopy(deferred),
               copy.copy(deferred)]
     assert copies == [parsed] * 3
     assert deferred == parsed
-    assert all(c.asset_sha256 == deferred.asset_sha256 for c in copies)
+    # a copy's tables are the cache entry of the system it copies
+    compile_system(deferred)
+    builds.clear()
+    for c in copies:
+        compile_system(c)
+    assert builds == []
     assert [[w.tolist() for w in c.term_words] for c in copies] == \
         [[w.tolist() for w in parsed.term_words]] * 3
 
@@ -264,6 +269,46 @@ def test_edited_asset_is_a_miss(system, cache, tmp_path, monkeypatch, parses):
     # the new entries replaced the old ones
     assert not before & set(_entries(cache))
     assert len(_entries(cache)) == 2
+
+
+def _reworded(text):
+    """`text` with a comment line added and its second polynomial's terms
+    in reverse order: other text, the same words."""
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith("y_{2}"))
+    head, body = lines[k].rstrip("\n").split(" = ", 1)
+    lines[k] = f"{head} = {' + '.join(reversed(body.split(' + ')))}\n"
+    return "# the shipped words, in other text\n" + "".join(lines)
+
+
+def test_asset_text_holding_the_same_words_reads_the_tables_back(
+        system, cache, tmp_path, monkeypatch, parses, builds):
+    compile_system(load_default_system.__wrapped__())
+    asset = tmp_path / "asset.txt"
+    shipped = system_mod._SHIPPED_ASSET.read_text()
+    asset.write_text(_reworded(shipped))
+    assert asset.read_text() != shipped
+    monkeypatch.setenv(ASSET_ENV_VAR, str(asset))
+    parses.clear()
+    builds.clear()
+    reworded = load_default_system.__wrapped__()
+    compiled = compile_system(reworded)
+    assert len(parses) == 32 and builds == []
+    assert reworded == system
+    assert [compiled.eval_word(x) for x in EDGE_INPUTS] == \
+        [system.eval_reference(x) for x in EDGE_INPUTS]
+
+
+def test_a_loaded_system_compiled_twice_builds_its_tables_once(cache, builds):
+    text = "\n".join(f"y_{{{k}}} = x_{{{k}}}x_{{{k + 32}}} + x_{{{k}}} + 1"
+                     for k in range(1, 33))
+    first = compile_system(load_system(text))
+    second = compile_system(load_system(text))
+    assert len(builds) == 1
+    assert [name.split("-")[0] for name in _entries(cache)] == ["tables"]
+    rng = random.Random(11)
+    for x in EDGE_INPUTS + [rng.getrandbits(64) for _ in range(20)]:
+        assert second.eval_word(x) == first.eval_word(x) == first.source.eval_reference(x)
 
 
 def test_changed_package_sources_are_a_miss(system, cache, monkeypatch, parses, builds):

@@ -94,7 +94,7 @@ def _edge_system():
 
     polys = [sorted(terms(k)) for k in range(1, 33)]
     counts = array("H", map(len, polys))
-    return PolynomialSystem._of((counts + array("H", sum(polys, []))).tobytes())
+    return PolynomialSystem((counts + array("H", sum(polys, []))).tobytes())
 
 
 def test_every_evaluator_agrees_on_an_edge_system(monkeypatch):
@@ -393,6 +393,23 @@ def test_new_build_prunes_stale_builds(tmp_path, monkeypatch, fresh_loader):
     assert module is not None, how
     assert how.startswith("built ")
     assert [p.name for p in cache.iterdir()] == [how.split()[1]]
+
+
+def test_build_name_covers_the_compiler_and_its_flags(tmp_path, monkeypatch):
+    # a stand-in compiler, whose output the loader stores and fails to load
+    monkeypatch.setattr(evaluator, "_compile", lambda target: target.write_bytes(b"no ELF"))
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(_cache, "DIR", cache)
+    cc, flags = evaluator._COMPILER, evaluator._CFLAGS
+    names = []
+    for compiler, cflags in [(cc, flags), (cc, flags + ("-g",)), ("clang", flags), (cc, flags)]:
+        monkeypatch.setattr(evaluator, "_COMPILER", compiler)
+        monkeypatch.setattr(evaluator, "_CFLAGS", cflags)
+        module, how = evaluator._load_pmap.__wrapped__()
+        assert module is None, how
+        [build] = cache.iterdir()
+        names.append(build.name)
+    assert len(set(names)) == 3 and names[-1] == names[0]
 
 
 class _SpyLock:

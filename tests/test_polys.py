@@ -18,7 +18,7 @@ def _value(words, x):
     """The value at ``x`` of the polynomial whose term words are ``words``,
     from the ANF reference of a system whose other polynomials are zero."""
     counts = array("H", [len(words)] + [0] * (SYSTEM_SIZE - 1))
-    system = PolynomialSystem._of((counts + array("H", sorted(words))).tobytes())
+    system = PolynomialSystem((counts + array("H", sorted(words))).tobytes())
     return system.eval_reference(x) >> (SYSTEM_SIZE - 1)
 
 
