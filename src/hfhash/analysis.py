@@ -19,13 +19,13 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from . import core
 from .core import (
     BLOCK_BYTES,
     WORDS_PER_BLOCK,
     HfParams,
-    MessageBlock,
     check_rounds,
     default_params,
     hash_bytes,
@@ -40,6 +40,10 @@ DEFAULT_AVALANCHE_INPUT = bytes.fromhex(
     "f5b165224a58b791df6af1d8303e61cdc4bb86c3d1c427103c344c4189"
     "eb2f1e7bd5d47e446fcec2a3d811736110e5781bcccea696762e61"
 )
+
+# the 14 unit blocks: block m holds a 1 in word m and 0 elsewhere
+UNIT_BLOCKS = tuple(tuple(int(j == m) for j in range(WORDS_PER_BLOCK))
+                    for m in range(WORDS_PER_BLOCK))
 
 # default benchmark ladder in bytes: 1.4, 4.84, 7.48, 12.94 and 24.3 MB
 DEFAULT_BENCH_SIZES = (1_400_000, 4_840_000, 7_480_000, 12_940_000, 24_300_000)
@@ -220,22 +224,18 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     Rotating every input word rotates every schedule word (see
     ``core.expand``) and keeps its weight, so all 32 flips inside one
     message word share a weight: one ``core.expand`` call per message
-    word, on a block holding just a 1 there, gives all 448.  Flip i lies
-    in byte ``i // 8``, which is in word ``i // 32``.
+    word, on the unit block of `UNIT_BLOCKS` holding just a 1 there,
+    gives all 448.  Flip i lies in byte ``i // 8``, which is in word
+    ``i // 32``.
     """
     check_rounds(rounds)
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
-    word_weights = []
-    for m in range(WORDS_PER_BLOCK):
-        block = MessageBlock(words=tuple(int(j == m) for j in range(WORDS_PER_BLOCK)),
-                             is_last=(rule == "last"))
-        w = core.expand(block, (0,) * 8)
-        word_weights.append(sum(x.bit_count() for x in w[:rounds]))
-    weights = [word_weights[i // 32] for i in range(BLOCK_BITS)]
-    return DiffusionReport(rounds=rounds, rule=rule,
-                           per_position_weights=tuple(weights),
-                           min_weight=min(weights), max_weight=max(weights))
+    word_weights = [sum(map(int.bit_count, core.expand(unit, (0,) * 8, rule == "last")[:rounds]))
+                    for unit in UNIT_BLOCKS]
+    weights = tuple(chain.from_iterable([weight] * 32 for weight in word_weights))
+    return DiffusionReport(rounds=rounds, rule=rule, per_position_weights=weights,
+                           min_weight=min(word_weights), max_weight=max(word_weights))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -42,10 +43,23 @@ def _sizes(text: str) -> tuple[int, ...]:
 
 
 def _echo(text: str, file=None) -> None:
-    """Writes ``text`` and a newline in one call, then flushes."""
+    """Writes ``text`` and a newline in one call, then flushes.  A file
+    name the stream cannot encode goes out as its original bytes, as
+    `sha256sum` prints it."""
     file = file or sys.stdout
-    file.write(text + "\n")
+    try:
+        file.write(text + "\n")
+    except UnicodeEncodeError:
+        file.buffer.write(os.fsencode(text + "\n"))
     file.flush()
+
+
+def _stdin():
+    """Standard input, left open after reading; EBADF if Python started
+    with it closed."""
+    if sys.stdin is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return nullcontext(sys.stdin.buffer)
 
 
 def _emit(report, as_json: bool) -> None:
@@ -63,8 +77,7 @@ def cmd_sum(paths, upper, grouped, rounds):
     for path in paths or ["-"]:
         hasher = Hasher(params)
         try:
-            # "-" is standard input, which stays open
-            with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+            with _stdin() if path == "-" else open(path, "rb") as fh:
                 while chunk := fh.read(1 << 16):
                     hasher.update(chunk)
         except (OSError, ValueError) as exc:  # open() refuses a NUL byte with ValueError

@@ -27,6 +27,7 @@ from .system import load_default_system
 MASK32 = 0xFFFFFFFF
 BLOCK_BYTES = 56
 WORDS_PER_BLOCK = 14
+_BLOCK = struct.Struct("<14I")     # one block: 14 little-endian words
 SCHEDULE_LEN = 64
 VALID_ROUNDS = (32, 48, 64)
 
@@ -138,16 +139,6 @@ def default_params() -> HfParams:
 
 
 @dataclass(frozen=True)
-class MessageBlock:
-    words: tuple[int, ...]
-    is_last: bool = False
-
-    def __post_init__(self):
-        if len(self.words) != WORDS_PER_BLOCK:
-            raise ValueError(f"a block holds exactly {WORDS_PER_BLOCK} words")
-
-
-@dataclass(frozen=True)
 class Digest:
     """The 256-bit result, eight 32-bit words rendered MSB-first."""
 
@@ -205,35 +196,32 @@ def _pad_tail(bit_length: int, layout: LayoutConfig) -> bytes:
     return bytes([marker]) + b"\x00" * ((k - 7) // 8) + _encode_length(bit_length, layout)
 
 
-def parse_blocks(padded: bytes) -> list[MessageBlock]:
+def parse_blocks(padded: bytes) -> list[tuple[int, ...]]:
     """Split padded bytes into blocks; the checked list form of `_read_blocks`."""
     if len(padded) % BLOCK_BYTES:
         raise ValueError(f"padded length {len(padded)} is not a multiple of {BLOCK_BYTES} bytes")
-    return list(_read_blocks(padded, final=True))
+    return list(_read_blocks(padded))
 
 
-def _read_blocks(data, final: bool):
-    """Lazily read the whole 56-byte blocks of `data` as 14 little-endian
-    words each; a partial tail is left unread.
+def _read_blocks(data):
+    """Lazily read the whole 56-byte blocks of `data`, each as the tuple
+    of its 14 little-endian words; a partial tail is left unread.
 
-    With `final`, `data` ends with the padding and its final block is
-    the last block.  Whole blocks before padding never are: padding
-    appends at least 65 bits, so the last block always lies beyond them.
+    A bytearray is read from a copy of its whole blocks, so its owner
+    may trim it while the blocks are read.
     """
-    n = len(data) // BLOCK_BYTES
-    for i in range(n):
-        yield MessageBlock(words=struct.unpack_from("<14I", data, i * BLOCK_BYTES),
-                           is_last=final and i == n - 1)
+    return _BLOCK.iter_unpack(data[:len(data) - len(data) % BLOCK_BYTES])
 
 
-def expand(block: MessageBlock, chain: tuple[int, ...]) -> list[int]:
-    """Build the 64-word schedule for one block.
+def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False) -> list[int]:
+    """Build the 64-word schedule for the 14 message words of one block.
 
-    Ordinary blocks interleave the chain as W_0 and W_15 around the 14
-    message words; the final padded block moves both chain words to the
-    front so the encoded message length stays at the very end of the
-    16-word prefix.  That is the "shifted" last-block map, the only one
-    that runs; `Hasher` refuses the "literal" one before any block.
+    Ordinary blocks interleave the chain as W_0 and W_15 around the
+    message words; the final padded block (`is_last`) moves both chain
+    words to the front so the encoded message length stays at the very
+    end of the 16-word prefix.  That is the "shifted" last-block map,
+    the only one that runs; `Hasher` refuses the "literal" one before
+    any block.  Any other number of words than 14 raises ValueError.
 
     The recurrence runs in the native ``_pmap.schedule`` when the
     extension loads (looked up on every call, so a test that disables
@@ -243,10 +231,12 @@ def expand(block: MessageBlock, chain: tuple[int, ...]) -> list[int]:
     rotating every input word by p rotates every schedule word by p;
     `analysis.diffusion` relies on that.
     """
-    if block.is_last:
-        prefix = [chain[0], chain[7], *block.words]
+    if len(words) != WORDS_PER_BLOCK:
+        raise ValueError(f"a block holds exactly {WORDS_PER_BLOCK} words, got {len(words)}")
+    if is_last:
+        prefix = [chain[0], chain[7], *words]
     else:
-        prefix = [chain[0], *block.words, chain[7]]
+        prefix = [chain[0], *words, chain[7]]
     pmap = evaluator._load_pmap()[0]
     return pmap.schedule(prefix) if pmap is not None else _schedule(prefix)
 
@@ -264,15 +254,17 @@ def _schedule(prefix: list[int]) -> list[int]:
     return w
 
 
-def compress(chain: tuple[int, ...], block: MessageBlock, params: HfParams) -> tuple[int, ...]:
-    """Expand one block and fold it into the chaining value (no feed-forward).
+def compress(chain: tuple[int, ...], words: tuple[int, ...], params: HfParams,
+             is_last: bool = False) -> tuple[int, ...]:
+    """Expand the 14 words of one block, the final padded block if
+    `is_last`, and fold them into the chaining value (no feed-forward).
 
     Round j, all sums mod 2**32:
         T1 = H1 + H2 + p(H3 || H0) + K_j
         T2 = H4 + H5 + p(H7 || H6) + W_j
         (H0..H7) <- (T1 + T2, H0, H1, H2, (H3 + T1) <<< 5, H4, H5, H6)
     """
-    w = expand(block, chain)
+    w = expand(words, chain, is_last)
     ev = params.system.eval_word
     h0, h1, h2, h3, h4, h5, h6, h7 = chain
     for wj, kj in zip(w[:params.rounds], ROUND_CONSTANTS):
@@ -297,9 +289,15 @@ def hash_bytes(message, params: HfParams | None = None) -> Digest:
 class Hasher:
     """Streaming interface and the one block loop; `hash_bytes` runs on it.
 
-    Any chunking of a message yields the digest of the whole message.  A
+    Any chunking of a message yields the digest of the whole message.
+    Like a hashlib object, it can be copied, and `digest` and
+    `hexdigest` leave it open to updates; `finalize` closes it.  A
     layout that cannot run raises `LayoutError` here, before any block.
     """
+
+    name = "hfhash"
+    digest_size = 32
+    block_size = BLOCK_BYTES
 
     def __init__(self, params: HfParams | None = None):
         self.params = params if params is not None else default_params()
@@ -308,36 +306,53 @@ class Hasher:
                 "literal last-block word map needs message words M_2..M_15, "
                 "but a block carries M_1..M_14")
         self._chain = IV
-        self._buffer = bytearray()      # a partial block, never a whole one
+        self._buffer = bytearray()      # a partial block, never a whole one; None once finalized
         self._total_bits = 0
-        self._finalized = False
 
-    def _absorb(self, blocks) -> None:
-        chain = self._chain
-        for block in blocks:
-            chain = compress(chain, block, self.params)
-        self._chain = chain
+    def copy(self) -> "Hasher":
+        """An independent hasher in the same state."""
+        other = Hasher(self.params)
+        other._chain, other._total_bits = self._chain, self._total_bits
+        other._buffer = None if self._buffer is None else bytearray(self._buffer)
+        return other
+
+    def _absorb(self, chain, blocks) -> tuple[int, ...]:
+        params = self.params
+        for words in blocks:
+            chain = compress(chain, words, params)
+        return chain
 
     def update(self, data) -> "Hasher":
         """Absorb a bytes-like chunk; ``str`` raises TypeError."""
-        if self._finalized:
+        buffer = self._buffer
+        if buffer is None:
             raise ValueError("update after finalize")
         view = memoryview(data).cast("B")
         self._total_bits += 8 * len(view)
-        buffer = self._buffer
         buffer += view
-        self._absorb(_read_blocks(buffer, final=False))
+        self._chain = self._absorb(self._chain, _read_blocks(buffer))
         del buffer[:len(buffer) - len(buffer) % BLOCK_BYTES]
         return self
 
-    def finalize(self) -> Digest:
-        if self._finalized:
+    def _digest(self) -> Digest:
+        """The digest of what was absorbed; the state is left as it is.
+        The final block of the padded tail is the one last block."""
+        if self._buffer is None:
             raise ValueError("hasher already finalized")
-        self._finalized = True
         tail = bytes(self._buffer) + _pad_tail(self._total_bits, self.params.layout)
-        self._buffer.clear()
-        self._absorb(parse_blocks(tail))
-        return Digest(words=self._chain)
+        *blocks, last = parse_blocks(tail)
+        return Digest(words=compress(self._absorb(self._chain, blocks), last, self.params, True))
+
+    def digest(self) -> bytes:
+        return self._digest().to_bytes()
+
+    def hexdigest(self) -> str:
+        return self._digest().hex()
+
+    def finalize(self) -> Digest:
+        digest = self._digest()
+        self._buffer = None
+        return digest
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from hfhash.analysis import (
 from hfhash.core import (
     WORDS_PER_BLOCK,
     HfParams,
-    MessageBlock,
     expand,
     hash_bytes,
     parse_blocks,
@@ -119,8 +118,7 @@ def diffusion_weights_spec(rounds, rule):
     for i in range(448):
         buf = bytearray(56)
         buf[i // 8] ^= 1 << (7 - i % 8)
-        block = MessageBlock(words=struct.unpack("<14I", buf), is_last=(rule == "last"))
-        w = expand(block, (0,) * 8)
+        w = expand(struct.unpack("<14I", buf), (0,) * 8, rule == "last")
         weights.append(sum(bin(x).count("1") for x in w[:rounds]))
     return weights
 
@@ -180,8 +178,8 @@ def test_low_weight_schedule_difference():
         for _ in range(8)]
     for message, chain in bases:
         flipped = bytes(a ^ b for a, b in zip(message, LOW_WEIGHT_DIFFERENCE))
-        base = expand(MessageBlock(words=struct.unpack("<14I", message)), chain)
-        other = expand(MessageBlock(words=struct.unpack("<14I", flipped)), chain)
+        base = expand(struct.unpack("<14I", message), chain)
+        other = expand(struct.unpack("<14I", flipped), chain)
         weights = [bin(a ^ b).count("1") for a, b in zip(base, other)]
         assert (sum(weights[:32]), sum(weights[:48]), sum(weights)) == (18, 22, 29)
 
@@ -229,8 +227,8 @@ def test_diffusion_matches_two_full_expansions():
         message = bytearray(rng.randbytes(56))
         flipped = bytearray(message)
         flipped[position // 8] ^= 1 << (7 - position % 8)
-        base = expand(MessageBlock(words=parse_blocks(bytes(message))[0].words), chain)
-        other = expand(MessageBlock(words=parse_blocks(bytes(flipped))[0].words), chain)
+        base = expand(parse_blocks(bytes(message))[0], chain)
+        other = expand(parse_blocks(bytes(flipped))[0], chain)
         weight = sum(bin(a ^ b).count("1") for a, b in zip(base, other))
         assert weight == report.per_position_weights[position]
 

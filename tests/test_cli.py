@@ -367,6 +367,32 @@ def test_closed_pipe_exits_without_traceback(tmp_path, copies):
     assert stderr == b""
 
 
+def _run_sum(args, **kwargs):
+    src = str(Path(hfhash.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "hfhash.cli", "sum", *args],
+                          capture_output=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
+                          **kwargs)
+
+
+def test_sum_prints_a_name_that_is_not_utf8_as_its_bytes(tmp_path):
+    # like sha256sum: the name's own bytes, whatever the output encoding
+    name = b"f\xff.bin"
+    try:
+        (tmp_path / os.fsdecode(name)).write_bytes(b"a")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    proc = _run_sum([name], cwd=tmp_path, stdin=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == A_DIGEST.encode() + b"  " + name + b"\n"
+
+
+def test_sum_with_standard_input_closed_is_one_line_error():
+    proc = _run_sum([], preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"hfhash: -: Bad file descriptor\n"
+
+
 @pytest.fixture()
 def uncached_asset(monkeypatch, tmp_path):
     # commands reach the asset through two cached loaders, `poly` straight

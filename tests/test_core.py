@@ -18,7 +18,6 @@ from hfhash.core import (
     HfParams,
     LayoutConfig,
     LayoutError,
-    MessageBlock,
     compress,
     decode_length_field,
     expand,
@@ -127,13 +126,51 @@ def test_padding_invariants(message):
 def test_words_read_little_endian():
     raw = b"abcd" + bytes(52)
     blocks = parse_blocks(raw)
-    assert blocks[0].words[0] == 0x64636261
-    assert blocks[0].words[1] == 0
+    assert blocks[0][0] == 0x64636261
+    assert blocks[0][1] == 0
 
 
-def test_only_final_block_is_last():
-    blocks = parse_blocks(bytes(3 * BLOCK_BYTES))
-    assert [b.is_last for b in blocks] == [False, False, True]
+def in_chunks(message, size):
+    return [message[i:i + size] for i in range(0, len(message), size)]
+
+
+def empty_interleaved(message):
+    # uneven cuts, with empty chunks before, between and after them
+    cuts = [0, 1, 20, 77, 133, len(message)]
+    parts = [b""]
+    for lo, hi in zip(cuts, cuts[1:]):
+        parts += [message[lo:hi], b""]
+    return parts
+
+
+def test_only_final_block_is_last(params, monkeypatch):
+    # the final block of the padded tail is marked, and no other block
+    marks = []
+    original = core.compress
+
+    def recorded(chain, words, params, is_last=False):
+        marks.append(is_last)
+        return original(chain, words, params, is_last)
+
+    def expected(message):
+        return [False] * (len(pad(message)) // BLOCK_BYTES - 1) + [True]
+
+    monkeypatch.setattr(core, "compress", recorded)
+    for message in map(random.Random(1).randbytes, range(169)):
+        marks.clear()
+        hash_bytes(message, params)
+        assert marks == expected(message)
+    short = list(map(random.Random(2).randbytes, (0, 55, 56, 57, 112, 200)))
+    streamed = [in_chunks(random.Random(3).randbytes((1 << 16) + 100), 1 << 16)]
+    streamed += [chunking(m) for m in short for chunking in
+                 (lambda m: in_chunks(m, 56), lambda m: in_chunks(m, 1), empty_interleaved)]
+    for chunks in streamed:
+        marks.clear()
+        hasher = Hasher(params)
+        for chunk in chunks:
+            hasher.update(chunk)
+        hasher.finalize()
+        assert marks == expected(b"".join(chunks))
 
 
 def test_parse_rejects_partial_block():
@@ -141,23 +178,17 @@ def test_parse_rejects_partial_block():
         parse_blocks(bytes(57))
 
 
-def test_block_needs_14_words():
-    with pytest.raises(ValueError):
-        MessageBlock(words=(0,) * 13)
-
-
 # --- schedule expansion ----------------------------------------------------
 
 def test_zero_everything_expands_to_zero():
-    block = MessageBlock(words=(0,) * 14)
-    assert expand(block, (0,) * 8) == [0] * 64
+    assert expand((0,) * 14, (0,) * 8) == [0] * 64
 
 
 def test_non_last_prefix_layout():
     rng = random.Random(1)
     words = tuple(rng.getrandbits(32) for _ in range(14))
     chain = tuple(rng.getrandbits(32) for _ in range(8))
-    w = expand(MessageBlock(words=words), chain)
+    w = expand(words, chain)
     assert w[0] == chain[0]
     assert tuple(w[1:15]) == words
     assert w[15] == chain[7]
@@ -167,7 +198,7 @@ def test_last_block_prefix_is_shifted():
     rng = random.Random(2)
     words = tuple(rng.getrandbits(32) for _ in range(14))
     chain = tuple(rng.getrandbits(32) for _ in range(8))
-    w = expand(MessageBlock(words=words, is_last=True), chain)
+    w = expand(words, chain, True)
     assert w[0] == chain[0]
     assert w[1] == chain[7]
     assert tuple(w[2:16]) == words
@@ -186,9 +217,9 @@ def test_unrunnable_layout_is_refused_before_any_block(monkeypatch):
     calls = []
     original = core.compress
 
-    def counting(chain, block, params):
-        calls.append(block)
-        return original(chain, block, params)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(core, "compress", counting)
     literal = params_with(layout=LayoutConfig(last_block_map="literal"))
@@ -202,7 +233,7 @@ def test_recurrence_holds_throughout():
     rng = random.Random(3)
     words = tuple(rng.getrandbits(32) for _ in range(14))
     chain = tuple(rng.getrandbits(32) for _ in range(8))
-    w = expand(MessageBlock(words=words), chain)
+    w = expand(words, chain)
     for j in range(16, 64):
         assert w[j] == rotl32(w[j - 16] ^ w[j - 14] ^ w[j - 8] ^ w[j - 1], 3)
 
@@ -218,8 +249,8 @@ def test_schedule_difference_ignores_context():
         chain = tuple(rng.getrandbits(32) for _ in range(8))
         flipped = list(words)
         flipped[flip_word] ^= 1 << flip_bit
-        a = expand(MessageBlock(words=tuple(words)), chain)
-        b = expand(MessageBlock(words=tuple(flipped)), chain)
+        a = expand(tuple(words), chain)
+        b = expand(tuple(flipped), chain)
         diff = tuple(x ^ y for x, y in zip(a, b))
         if reference is None:
             reference = diff
@@ -235,10 +266,9 @@ def test_rotating_every_input_word_rotates_the_schedule(is_last):
         words = tuple(rng.getrandbits(32) for _ in range(14))
         chain = tuple(rng.getrandbits(32) for _ in range(8))
         p = rng.randrange(1, 32)
-        w = expand(MessageBlock(words=words, is_last=is_last), chain)
-        rotated = expand(MessageBlock(words=tuple(rotl32(x, p) for x in words),
-                                      is_last=is_last),
-                         tuple(rotl32(x, p) for x in chain))
+        w = expand(words, chain, is_last)
+        rotated = expand(tuple(rotl32(x, p) for x in words),
+                         tuple(rotl32(x, p) for x in chain), is_last)
         assert len(rotated) == 64
         assert rotated == [rotl32(x, p) for x in w]
 
@@ -272,9 +302,21 @@ def schedule_engine(request, monkeypatch):
 def test_out_of_range_words_overflow_on_both_engines(schedule_engine, word):
     outside = r"schedule word -?\d+ outside \[0, 2\*\*32\)"
     with pytest.raises(OverflowError, match=outside):
-        expand(MessageBlock(words=(word,) + (0,) * 13), IV)
+        expand((word,) + (0,) * 13, IV)
     with pytest.raises(OverflowError, match=outside):
-        expand(MessageBlock(words=(0,) * 14, is_last=True), IV[:7] + (word,))
+        expand((0,) * 14, IV[:7] + (word,), True)
+
+
+def test_block_needs_14_words(monkeypatch):
+    # a 13-word block would fail inside the Python spec with IndexError,
+    # and a 15-word one would yield 65 words, so `expand` checks the count
+    for disabled in (False, True):
+        if disabled:
+            _disable_native(monkeypatch)
+        for n in (0, 13, 15, 16):
+            for is_last in (False, True):
+                with pytest.raises(ValueError, match=f"exactly 14 words, got {n}"):
+                    expand((0,) * n, IV, is_last)
 
 
 words32 = st.one_of(st.sampled_from([0, MASK32]), st.integers(0, MASK32))
@@ -305,11 +347,10 @@ def test_native_schedule_takes_exactly_16_words():
 @given(st.tuples(*[words32] * 14), st.tuples(*[words32] * 8), st.booleans())
 def test_expand_is_the_same_with_the_extension_disabled(words, chain, is_last):
     _native_schedule()
-    block = MessageBlock(words=words, is_last=is_last)
-    native = expand(block, chain)
+    native = expand(words, chain, is_last)
     with pytest.MonkeyPatch.context() as m:
         _disable_native(m)
-        assert expand(block, chain) == native
+        assert expand(words, chain, is_last) == native
 
 
 # --- round function ---------------------------------------------------------
@@ -359,11 +400,10 @@ def test_compress_is_the_spec_rounds(params, rounds, is_last):
     cases.append((OnesSystem(), (MASK32,) * 8, (MASK32,) * 14))
     for system, chain, words in cases:
         p = HfParams(system=system, rounds=rounds)
-        block = MessageBlock(words=words, is_last=is_last)
         state = chain
-        for w, k in zip(expand(block, chain)[:rounds], ROUND_CONSTANTS):
+        for w, k in zip(expand(words, chain, is_last)[:rounds], ROUND_CONSTANTS):
             state = round_step(state, w, k, system)
-        out = compress(chain, block, p)
+        out = compress(chain, words, p, is_last)
         assert out == state
         assert all(0 <= h <= MASK32 for h in out)
 
@@ -376,7 +416,7 @@ def test_two_block_hash_composes(params):
     blocks = parse_blocks(padded)
     assert len(blocks) == 2
     chain = compress(IV, blocks[0], params)
-    chain = compress(chain, blocks[1], params)
+    chain = compress(chain, blocks[1], params, True)
     assert Digest(words=chain) == hash_bytes(message, params)
 
 

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from hfhash import analysis, core
-from hfhash.core import ROUND_CONSTANTS, HfParams, MessageBlock, expand, pad, parse_blocks
+from hfhash.core import ROUND_CONSTANTS, HfParams, expand, pad, parse_blocks
 from hfhash.evaluator import TermSumEvaluator
 from hfhash.system import load_default_system
-from test_core import round_step
+from test_core import empty_interleaved, in_chunks, round_step
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 CHUNK = 1 << 16     # the stream-long workload's chunk size
@@ -80,19 +80,6 @@ def _record(monkeypatch, name):
     return calls
 
 
-def _chunks(message, size):
-    return [message[i:i + size] for i in range(0, len(message), size)]
-
-
-def _empty_interleaved(message):
-    # uneven cuts, with empty chunks before, between and after them
-    cuts = [0, 1, 20, 77, 133, len(message)]
-    parts = [b""]
-    for lo, hi in zip(cuts, cuts[1:]):
-        parts += [message[lo:hi], b""]
-    return parts
-
-
 def test_one_shot_compresses_exactly_the_padded_blocks(params, monkeypatch):
     compressed = _record(monkeypatch, "compress")
     parsed = _record(monkeypatch, "parse_blocks")
@@ -101,15 +88,15 @@ def test_one_shot_compresses_exactly_the_padded_blocks(params, monkeypatch):
         compressed.clear()
         parsed.clear()
         core.hash_bytes(message, params)
-        assert [block for _, block, _ in compressed] == parse_blocks(pad(message))
+        assert [args[1] for args in compressed] == parse_blocks(pad(message))
         assert len(parsed) == 1
 
 
 @pytest.mark.parametrize("chunking, lengths", [
-    (lambda m: _chunks(m, CHUNK), (CHUNK + 100,)),
-    (lambda m: _chunks(m, 56), (0, 55, 56, 57, 112, 200)),
-    (lambda m: _chunks(m, 1), (0, 55, 56, 57, 112, 200)),
-    (_empty_interleaved, (0, 55, 56, 57, 112, 200)),
+    (lambda m: in_chunks(m, CHUNK), (CHUNK + 100,)),
+    (lambda m: in_chunks(m, 56), (0, 55, 56, 57, 112, 200)),
+    (lambda m: in_chunks(m, 1), (0, 55, 56, 57, 112, 200)),
+    (empty_interleaved, (0, 55, 56, 57, 112, 200)),
 ], ids=["64KiB", "56B", "1B", "empty-interleaved"])
 def test_streaming_compresses_exactly_the_padded_blocks(
         params, monkeypatch, chunking, lengths):
@@ -124,7 +111,7 @@ def test_streaming_compresses_exactly_the_padded_blocks(
             hasher.update(chunk)
         assert parsed == []
         hasher.finalize()
-        assert [block for _, block, _ in compressed] == parse_blocks(pad(message))
+        assert [args[1] for args in compressed] == parse_blocks(pad(message))
         assert len(parsed) == 1
 
 
@@ -145,12 +132,12 @@ class _RecordingSystem:
 def test_compress_calls_eval_word_twice_per_round_in_order(rounds):
     rng = random.Random(rounds)
     chain = tuple(rng.getrandbits(32) for _ in range(8))
-    block = MessageBlock(words=tuple(rng.getrandbits(32) for _ in range(14)))
+    words = tuple(rng.getrandbits(32) for _ in range(14))
     recorder = _RecordingSystem()
-    core.compress(chain, block, HfParams(system=recorder, rounds=rounds))
+    core.compress(chain, words, HfParams(system=recorder, rounds=rounds))
     expected = []
     state, spec = chain, _RecordingSystem()
-    for w, k in zip(expand(block, chain)[:rounds], ROUND_CONSTANTS):
+    for w, k in zip(expand(words, chain)[:rounds], ROUND_CONSTANTS):
         h0, _, _, h3, _, _, h6, h7 = state
         expected += [h3 << 32 | h0, h7 << 32 | h6]
         state = round_step(state, w, k, spec)

@@ -91,3 +91,38 @@ def test_bytes_like_inputs_agree(params):
     hasher = Hasher(params)
     hasher.update(memoryview(message)[:60]).update(bytearray(message[60:]))
     assert hasher.finalize() == want
+
+
+def test_hashlib_attributes(params):
+    hasher = Hasher(params)
+    assert (hasher.name, hasher.digest_size, hasher.block_size) == ("hfhash", 32, 56)
+
+
+def test_copy_and_original_diverge(params):
+    original = Hasher(params).update(bytes(range(70)))
+    copied = original.copy()
+    original.update(b"left")
+    copied.update(b"right")
+    assert original.finalize() == hash_bytes(bytes(range(70)) + b"left", params)
+    assert copied.finalize() == hash_bytes(bytes(range(70)) + b"right", params)
+
+
+def test_digest_leaves_the_hasher_open(params):
+    message = bytes(range(100))
+    hasher = Hasher(params).update(message)
+    want = hasher.copy().finalize().to_bytes()
+    assert hasher.digest() == want
+    assert hasher.digest() == want
+    assert hasher.hexdigest() == want.hex()
+    hasher.update(b"more")
+    assert hasher.finalize() == hash_bytes(message + b"more", params)
+
+
+def test_a_copy_of_a_finalized_hasher_is_finalized(params):
+    hasher = Hasher(params)
+    hasher.finalize()
+    copied = hasher.copy()
+    with pytest.raises(ValueError, match="finalize"):
+        copied.update(b"y")
+    with pytest.raises(ValueError, match="finalized"):
+        copied.digest()
