@@ -44,22 +44,25 @@ def _sizes(text: str) -> tuple[int, ...]:
 
 def _echo(text: str, file=None) -> None:
     """Writes ``text`` and a newline in one call, then flushes.  A file
-    name the stream cannot encode goes out as its original bytes, as
-    `sha256sum` prints it."""
-    file = file or sys.stdout
+    name that is not UTF-8, or that the stream cannot encode, goes out as
+    its original bytes, as `sha256sum` prints it."""
+    file = _open(file or sys.stdout)
     try:
+        text.encode()  # a name that is not UTF-8 holds lone surrogates
         file.write(text + "\n")
     except UnicodeEncodeError:
-        file.buffer.write(os.fsencode(text + "\n"))
+        if hasattr(file, "buffer"):
+            file.buffer.write(os.fsencode(text + "\n"))
+        else:  # a text-only stream, such as io.StringIO, takes them as they are
+            file.write(text + "\n")
     file.flush()
 
 
-def _stdin():
-    """Standard input, left open after reading; EBADF if Python started
-    with it closed."""
-    if sys.stdin is None:
+def _open(stream):
+    """A standard stream; EBADF if Python started with it closed."""
+    if stream is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    return nullcontext(sys.stdin.buffer)
+    return stream
 
 
 def _emit(report, as_json: bool) -> None:
@@ -77,7 +80,7 @@ def cmd_sum(paths, upper, grouped, rounds):
     for path in paths or ["-"]:
         hasher = Hasher(params)
         try:
-            with _stdin() if path == "-" else open(path, "rb") as fh:
+            with nullcontext(_open(sys.stdin).buffer) if path == "-" else open(path, "rb") as fh:
                 while chunk := fh.read(1 << 16):
                     hasher.update(chunk)
         except (OSError, ValueError) as exc:  # open() refuses a NUL byte with ValueError
@@ -229,6 +232,9 @@ def main(argv=None, standalone_mode=True):
     except BrokenPipeError:
         # the reader left; what is still buffered goes to /dev/null at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except OSError as exc:  # from `_echo`: standard output is closed or failing
+        _echo(f"hfhash: write error: {exc.strerror}", sys.stderr)
         code = 1
     if standalone_mode:
         sys.exit(code)

@@ -1,33 +1,30 @@
 """Fast evaluation paths for the 64->32 bit polynomial map.
 
-Three routes with identical semantics:
+Three routes with the semantics of ``PolynomialSystem.eval_reference``:
 
 * ``CompiledSystem`` -- chunk-pair lookup tables, the production path.
   Every monomial has degree at most 2, so once the 64-bit input is cut
   into chunks, each term touches at most two of them and the whole map
   folds into one bilinear table per chunk pair, built by one routine,
-  ``_pair_tables``, into one flat buffer of native uint32 words.  It is
-  pure Python: a table row is one int of 32-bit lanes, so each doubling
-  step of the build is one big-int XOR, and the hash path never imports
-  numpy.  The native ``_pmap``
-  extension (built from ``_pmap.c`` on first use, holding one view on
-  the buffer) owns the chunk widths, ``CHUNK_WIDTHS``: ten chunks of 6
-  bits and one of 4, so an evaluation is 55 lookups XORed together in
-  778,240 bytes of tables, which stay in L2.  When the extension cannot
-  be built, a Python closure evaluates 28 byte-pair tables (widths
+  ``_pair_tables``, into one flat buffer of native uint32 words: a table
+  row is one int of 32-bit lanes, so each doubling step of the build is
+  one big-int XOR.  The native ``_pmap`` extension (built from
+  ``_pmap.c`` on first use, holding one view on the buffer) owns the
+  chunk widths, ``CHUNK_WIDTHS``: ten chunks of 6 bits and one of 4, so
+  an evaluation is 55 lookups XORed together in 778,240 bytes of
+  tables, which stay in L2.  When the extension cannot be built, a
+  Python closure evaluates 28 byte-pair tables (widths
   ``_BYTE_WIDTHS``, 7.3 MB), which only this fallback builds: fewer
   lookups suit Python better than a smaller buffer.  Every compiled
   system's buffer is stored in the package's cache (see ``_cache``),
   one entry per chunk widths, keyed by the system's term words and the
   package sources, and later compiles of the same words read it back
   instead of building it.
-* ``TermSumEvaluator`` -- vectorized term-by-term summation operating
-  directly on the system's term words (one uint64 mask per term, the
-  constant's being 0; a term is satisfied iff ``x & mask == mask``).
-  Slower, but its data layout is a straight transcription of the
-  polynomial text, which makes it the natural cross-check and the
-  baseline for benchmarks.  The package's one numpy user; it imports numpy
-  when it is used.
+* ``TermSumEvaluator`` -- term-by-term summation on plain ints, straight
+  off the system's term words (one bit per term, one int per variable
+  marking the terms it occurs in).  Slower, but its data layout is a
+  transcription of the polynomial text, which makes it the cross-check
+  of the tables and the baseline of their speed.
 * ``eval_batch_bitsliced`` -- pure-python bitsliced term summation
   across a whole batch of inputs at once, used to sweep the two paths
   above against each other over large random samples.
@@ -46,7 +43,7 @@ from array import array
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from pathlib import Path
 from time import perf_counter
 
@@ -286,33 +283,40 @@ def compile_system(system: PolynomialSystem) -> CompiledSystem:
 
 
 class TermSumEvaluator:
-    """Vectorized term-by-term evaluation straight off the term words.
+    """Term-by-term evaluation straight off the term words, on plain ints.
 
-    Each term word becomes one uint64 mask of its variables (distinct,
-    so their bits sum to an OR); the constant's mask is 0, which every
-    input satisfies.  A polynomial with no terms gets two zero masks,
-    which cancel, so that its ``reduceat`` segment is nonempty.
+    Each term is one bit of a big int, each polynomial's terms a span of
+    whole bytes, and ``_live`` has all the terms' bits.  A variable's int
+    marks its terms: a term is satisfied unless one of its variables is
+    0, so the constant, with none, always is, and a polynomial's bit is
+    the parity of its satisfied terms.  ``_zeros[i][b]`` holds the marks
+    of the variables that are 0 where input byte i (x_1 first) is b.
     """
 
     def __init__(self, system: PolynomialSystem):
-        import numpy as np
-
-        masks: list[int] = []
-        starts: list[int] = []
+        spans = []  # per polynomial: its live bits, then the marks of x_1 .. x_64
         for terms in system.term_words:
-            starts.append(len(masks))
-            masks.extend([sum(1 << (NUM_VARS - v) for v in _vars(w))
-                          for w in terms] or [0, 0])
-        self._masks = np.asarray(masks, dtype=np.uint64)
-        self._starts = np.asarray(starts, dtype=np.int64)
+            marks = [(1 << len(terms)) - 1] + [0] * NUM_VARS
+            for bit, w in enumerate(terms):
+                for v in _vars(w):
+                    marks[v] |= 1 << bit
+            spans.append([m.to_bytes(-(-len(terms) // 8), "little") for m in marks])
+        self._live, *marks = (int.from_bytes(b"".join(c), "little") for c in zip(*spans))
+        self._spans = list(pairwise(accumulate((len(span[0]) for span in spans), initial=0)))
+        self._zeros = [[tuple(marks[8 * i + s] for s in range(8) if not b >> 7 - s & 1)
+                        for b in range(256)] for i in range(NUM_VARS // 8)]
         self.constant_word = system.constant_word
 
     def eval_word(self, x: int) -> int:
-        import numpy as np
-
-        satisfied = (np.uint64(x) & self._masks) == self._masks
-        parity = np.add.reduceat(satisfied, self._starts) & 1
-        return int.from_bytes(np.packbits(parity.astype(np.uint8)).tobytes(), "big")
+        dead = 0
+        for zeros, b in zip(self._zeros, x.to_bytes(8, "big")):
+            for m in zeros[b]:
+                dead |= m
+        view = memoryview((self._live & ~dead).to_bytes(self._spans[-1][1], "little"))
+        word = 0
+        for start, end in self._spans:
+            word = word << 1 | int.from_bytes(view[start:end], "little").bit_count() & 1
+        return word
 
 
 def eval_batch_bitsliced(system: PolynomialSystem, inputs: list[int]) -> list[int]:

@@ -367,9 +367,9 @@ def test_closed_pipe_exits_without_traceback(tmp_path, copies):
     assert stderr == b""
 
 
-def _run_sum(args, **kwargs):
+def _run(args, **kwargs):
     src = str(Path(hfhash.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-m", "hfhash.cli", "sum", *args],
+    return subprocess.run([sys.executable, "-m", "hfhash.cli", *args],
                           capture_output=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
                           **kwargs)
@@ -382,15 +382,36 @@ def test_sum_prints_a_name_that_is_not_utf8_as_its_bytes(tmp_path):
         (tmp_path / os.fsdecode(name)).write_bytes(b"a")
     except (OSError, UnicodeError):
         pytest.skip("the file system refuses a name that is not UTF-8")
-    proc = _run_sum([name], cwd=tmp_path, stdin=subprocess.DEVNULL)
+    proc = _run(["sum", name], cwd=tmp_path, stdin=subprocess.DEVNULL)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == A_DIGEST.encode() + b"  " + name + b"\n"
 
 
+def test_sum_names_a_missing_file_that_is_not_utf8_by_its_bytes(tmp_path):
+    # on stderr as on stdout: the name's own bytes
+    proc = _run(["sum", b"missing\xff.bin"], cwd=tmp_path, stdin=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"hfhash: missing\xff.bin: No such file or directory\n"
+
+
+def test_sum_writes_a_name_that_is_not_utf8_to_a_text_only_stream(run_cli, tmp_path):
+    # io.StringIO has no byte buffer; it takes the lone surrogate as it is
+    name = str(tmp_path / "missing\udcff.bin")
+    assert run_cli(["sum", name]) == Result(1, "", f"hfhash: {name}: No such file or directory\n")
+
+
 def test_sum_with_standard_input_closed_is_one_line_error():
-    proc = _run_sum([], preexec_fn=lambda: os.close(0))
+    proc = _run(["sum"], preexec_fn=lambda: os.close(0))
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr == b"hfhash: -: Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("command", ["selftest", "sum"])
+def test_standard_output_closed_is_one_line_error(command):
+    # the wording of sha256sum's write error
+    proc = _run([command], stdin=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"hfhash: write error: Bad file descriptor\n"
 
 
 @pytest.fixture()

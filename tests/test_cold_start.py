@@ -1,9 +1,10 @@
 """The hash path, `hfhash sum` and the analysis reports never import
 numpy, on either evaluator; `hfhash sum` never imports the analysis
 module, and a start that finds the native build cached never imports
-`subprocess`.  No command imports click, and each runs where it cannot
-be imported.  A start that finds the parsed asset and the tables
-cached runs every command, `poly` too, from them.
+`subprocess`.  No command imports click or numpy, and each, with the
+term-sum oracle, runs where neither can be imported.  A start that
+finds the parsed asset and the tables cached runs every command,
+`poly` too, from them.
 
 Each case runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -45,6 +46,16 @@ print("click" in sys.modules)
 
 # makes `import click` fail in the child, as where it is not installed
 NO_CLICK = 'import sys\nsys.modules["click"] = None\n'
+# the same for numpy; the child then builds the term-sum oracle and
+# prints whether it agrees with the reference on 100 inputs
+NO_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'
+ORACLE = """
+import random
+system = hfhash.default_params().system.source
+oracle = evaluator.TermSumEvaluator(system)
+xs = [random.Random(29).getrandbits(64) for _ in range(100)]
+print(all(oracle.eval_word(x) == system.eval_reference(x) for x in xs))
+"""
 
 # the child runs each command against the cache directory it is given
 WARM_START = """
@@ -122,6 +133,19 @@ def test_commands_run_where_click_cannot_be_imported(engine):
     assert hashlib.sha256(output.encode()).hexdigest() == NO_CLICK_OUTPUT_SHA256
     # the last line sees the None entry that blocks the import
     assert lines[-5:] == [EVAL_WORD_TYPE[engine], "False", "True", "False", "True"]
+
+
+def test_commands_run_where_numpy_cannot_be_imported(engine):
+    lines = _run(NO_NUMPY + CHILD + ORACLE, engine, "sum", "selftest", "poly --index 1",
+                 "diffusion --rounds 32", "avalanche --rounds 32", "bench --sizes 200")
+    assert lines[0] == ABC_DIGEST
+    cut = lines.index("avalanche over 448 single-bit flips (32 rounds)")
+    output = "".join(f"{line}\n" for line in lines[1:cut])
+    assert hashlib.sha256(output.encode()).hexdigest() == NO_CLICK_OUTPUT_SHA256
+    # bench hashed 200 bytes on both paths, which agreed
+    assert any(line.split()[:1] == ["200"] for line in lines[cut:-6])
+    # the None entry that blocks the import, then the oracle's verdict
+    assert lines[-6:] == [EVAL_WORD_TYPE[engine], "True", "True", "False", "False", "True"]
 
 
 def test_warm_sum_decodes_nothing_and_poly_decodes_once(engine, tmp_path):

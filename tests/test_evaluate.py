@@ -112,6 +112,36 @@ def test_every_evaluator_agrees_on_an_edge_system(monkeypatch):
         assert [ev(x) for x in xs] == want
 
 
+# every term word but the constant's
+NONCONSTANT_WORDS = [_word((i,)) for i in range(1, 65)] + [
+    _word(pair) for pair in combinations(range(1, 65), 2)]
+
+
+@st.composite
+def span_systems(draw):
+    """Systems of 0-20 terms per polynomial, the constant among them at
+    random, so that the term-sum oracle's byte-aligned spans of 7, 8, 9,
+    16 and 17 terms occur; the last polynomial is never empty, so its
+    span ends the oracle's buffer."""
+    polys = []
+    for k in range(1, 33):
+        size = draw(st.integers(1 if k == 32 else 0, 20))
+        constant = draw(st.booleans()) and size > 0
+        terms = draw(st.sets(st.sampled_from(NONCONSTANT_WORDS),
+                             min_size=size - constant, max_size=size - constant))
+        polys.append(sorted(terms | {0} if constant else terms))
+    counts = array("H", map(len, polys))
+    return PolynomialSystem((counts + array("H", sum(polys, []))).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=span_systems(), xs=st.lists(inputs, max_size=20))
+def test_term_sum_matches_reference_on_span_edges(system, xs):
+    term_sum = TermSumEvaluator(system)
+    for x in EDGE_INPUTS + xs:
+        assert term_sum.eval_word(x) == system.eval_reference(x)
+
+
 def test_compiled_matches_reference(system, compiled):
     rng = random.Random(11)
     for _ in range(60):
