@@ -10,6 +10,9 @@ serializations:
   GF(2)-linear computation, so the result is exact and deterministic.
 - ``bench``: wall-clock one-shot hashing against a SHA-256 baseline,
   with both the compiled and the term-sum evaluation paths.
+
+A record whose JSON is its fields serializes as ``dict(vars(record))``,
+a fresh shallow dict; the function that makes it computes every field.
 """
 
 from __future__ import annotations
@@ -73,10 +76,6 @@ class DistanceSummary:
         return cls(max=max(values), min=min(values), mode=mode,
                    mean=sum(values) / len(values))
 
-    def to_dict(self) -> dict:
-        return {"max": self.max, "min": self.min,
-                "mode": self.mode, "mean": self.mean}
-
 
 @dataclass(frozen=True)
 class FlipResult:
@@ -89,19 +88,12 @@ class FlipResult:
 
 @dataclass(frozen=True)
 class Bucket:
-    """How many flip distances fell within ``128 +/- radius``."""
+    """How many flip distances fell within ``128 +/- radius``, and what
+    percent of all flips that is."""
 
     radius: int
     count: int
-    total: int
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.count / self.total
-
-    def to_dict(self) -> dict:
-        return {"radius": self.radius, "count": self.count,
-                "percent": self.percent}
+    percent: float
 
 
 @dataclass(frozen=True)
@@ -143,10 +135,10 @@ class AvalancheReport:
                 for f in self.flips
             ],
             "summary": {
-                "digest": self.digest_summary.to_dict(),
-                "words": [w.to_dict() for w in self.word_summaries],
+                "digest": dict(vars(self.digest_summary)),
+                "words": [dict(vars(w)) for w in self.word_summaries],
             },
-            "buckets": [b.to_dict() for b in self.buckets],
+            "buckets": [dict(vars(b)) for b in self.buckets],
         }
 
 
@@ -174,11 +166,9 @@ def avalanche(message: bytes = DEFAULT_AVALANCHE_INPUT,
                                 digest_distance=sum(per_word),
                                 word_distances=per_word))
     distances = [f.digest_distance for f in flips]
-    buckets = tuple(
-        Bucket(radius=r,
-               count=sum(1 for d in distances if abs(d - 128) <= r),
-               total=len(distances))
-        for r in BUCKET_RADII)
+    counts = [sum(1 for d in distances if abs(d - 128) <= r) for r in BUCKET_RADII]
+    buckets = tuple(Bucket(radius=r, count=c, percent=100.0 * c / len(distances))
+                    for r, c in zip(BUCKET_RADII, counts))
     word_summaries = tuple(
         DistanceSummary.of([f.word_distances[w] for f in flips])
         for w in range(8))
@@ -203,13 +193,7 @@ class DiffusionReport:
                 f"{len(self.per_position_weights)} bit positions")
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "rule": self.rule,
-            "per_position_weights": list(self.per_position_weights),
-            "min_weight": self.min_weight,
-            "max_weight": self.max_weight,
-        }
+        return dict(vars(self))
 
 
 def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
@@ -240,55 +224,19 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
 
 @dataclass(frozen=True)
 class BenchEntry:
-    """Timings for one input size; oracle fields are None when skipped."""
+    """Timings (s) and rates (MB/s) for one input size; ``compile_speedup``
+    is oracle over compiled time, ``vs_sha256`` compiled over SHA-256
+    time, and the oracle fields are None when the oracle was skipped."""
 
     size: int
     compiled_seconds: float
     oracle_seconds: float | None
     sha256_seconds: float
-
-    @staticmethod
-    def _mbps(size: int, seconds: float | None) -> float | None:
-        if seconds is None:
-            return None
-        return size / 1e6 / seconds
-
-    @property
-    def compiled_mbps(self) -> float:
-        return self._mbps(self.size, self.compiled_seconds)
-
-    @property
-    def oracle_mbps(self) -> float | None:
-        return self._mbps(self.size, self.oracle_seconds)
-
-    @property
-    def sha256_mbps(self) -> float:
-        return self._mbps(self.size, self.sha256_seconds)
-
-    @property
-    def compile_speedup(self) -> float | None:
-        """How many times faster the compiled path is than the oracle."""
-        if self.oracle_seconds is None:
-            return None
-        return self.oracle_seconds / self.compiled_seconds
-
-    @property
-    def vs_sha256(self) -> float:
-        """Compiled-path time as a multiple of the SHA-256 time."""
-        return self.compiled_seconds / self.sha256_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "compiled_seconds": self.compiled_seconds,
-            "oracle_seconds": self.oracle_seconds,
-            "sha256_seconds": self.sha256_seconds,
-            "compiled_mbps": self.compiled_mbps,
-            "oracle_mbps": self.oracle_mbps,
-            "sha256_mbps": self.sha256_mbps,
-            "compile_speedup": self.compile_speedup,
-            "vs_sha256": self.vs_sha256,
-        }
+    compiled_mbps: float
+    oracle_mbps: float | None
+    sha256_mbps: float
+    compile_speedup: float | None
+    vs_sha256: float
 
 
 @dataclass(frozen=True)
@@ -313,7 +261,7 @@ class BenchReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {"entries": [e.to_dict() for e in self.entries]}
+        return {"entries": [dict(vars(e)) for e in self.entries]}
 
 
 def bench(sizes: tuple[int, ...] = DEFAULT_BENCH_SIZES,
@@ -342,7 +290,7 @@ def bench(sizes: tuple[int, ...] = DEFAULT_BENCH_SIZES,
         compiled_digest = hash_bytes(data, params)
         compiled_s = time.perf_counter() - t0
 
-        oracle_s = None
+        oracle_s = oracle_mbps = compile_speedup = None
         if 0 < size <= oracle_cap:
             t0 = time.perf_counter()
             oracle_digest = hash_bytes(data, oracle_params)
@@ -350,12 +298,16 @@ def bench(sizes: tuple[int, ...] = DEFAULT_BENCH_SIZES,
             if oracle_digest.words != compiled_digest.words:
                 raise AssertionError(
                     f"compiled and oracle paths disagree on {size} bytes")
+            oracle_mbps = size / 1e6 / oracle_s
+            compile_speedup = oracle_s / compiled_s
 
         t0 = time.perf_counter()
         hashlib.sha256(data).digest()
         sha_s = time.perf_counter() - t0
 
-        entries.append(BenchEntry(size=size, compiled_seconds=compiled_s,
-                                  oracle_seconds=oracle_s,
-                                  sha256_seconds=sha_s))
+        entries.append(BenchEntry(
+            size=size, compiled_seconds=compiled_s, oracle_seconds=oracle_s,
+            sha256_seconds=sha_s, compiled_mbps=size / 1e6 / compiled_s,
+            oracle_mbps=oracle_mbps, sha256_mbps=size / 1e6 / sha_s,
+            compile_speedup=compile_speedup, vs_sha256=compiled_s / sha_s))
     return BenchReport(entries=tuple(entries))

@@ -219,12 +219,11 @@ class CompiledSystem:
     shared freely across threads.
     """
 
-    def __init__(self, tables: memoryview, eval_word, source: PolynomialSystem,
-                 constant_word: int):
+    def __init__(self, tables: memoryview, eval_word, source: PolynomialSystem):
         self._tables = tables
         self.eval_word = eval_word
         self.source = source
-        self.constant_word = constant_word
+        self.constant_word = eval_word(0)
 
     @staticmethod
     def _bind(tables):
@@ -271,15 +270,12 @@ def compile_system(system: PolynomialSystem) -> CompiledSystem:
     """Precompute the pair tables of the evaluator that loads, or read
     them from the cache.  Deterministic in the system."""
     pmap, how = _load_pmap()
-    if pmap is not None:
-        tables, source = _tables(system, pmap.CHUNK_WIDTHS)
-        eval_word = pmap.Evaluator(tables).eval_word
-        log.debug("eval_word: native _pmap evaluator (%s); %s", how, source)
-    else:
-        tables, source = _tables(system, _BYTE_WIDTHS)
-        eval_word = CompiledSystem._bind(tables)
-        log.debug("eval_word: python closure (%s); %s", how, source)
-    return CompiledSystem(tables, eval_word, source=system, constant_word=eval_word(0))
+    widths, bind, kind = (
+        (_BYTE_WIDTHS, CompiledSystem._bind, "python closure") if pmap is None else
+        (pmap.CHUNK_WIDTHS, lambda t: pmap.Evaluator(t).eval_word, "native _pmap evaluator"))
+    tables, note = _tables(system, widths)
+    log.debug("eval_word: %s (%s); %s", kind, how, note)
+    return CompiledSystem(tables, bind(tables), system)
 
 
 class TermSumEvaluator:

@@ -65,11 +65,12 @@ class PolynomialSystem:
 
     ``PolynomialSystem(words)`` is the system whose state is ``words``,
     bytes of native uint16: the 32 term counts, then each polynomial's
-    term words in ascending order.  Only the counts are checked: words
-    that do not hold the terms they count raise SystemFormatError.  The
-    words are the system's whole identity: equality, hashing, ``repr``,
-    pickling, copying and the key of its cached tables come from them
-    alone.
+    term words in ascending order.  Any other buffer is copied into
+    bytes, so that editing it later changes no system.  Only the counts
+    are checked: words that do not hold the terms they count raise
+    SystemFormatError.  The words are the system's whole identity:
+    equality, hashing, ``repr``, pickling, copying and the key of its
+    cached tables come from them alone.
     """
 
     __slots__ = ("words",)
@@ -78,7 +79,7 @@ class PolynomialSystem:
         head = memoryview(words)[:2 * SYSTEM_SIZE]
         if len(head) < 2 * SYSTEM_SIZE or len(words) != 2 * (SYSTEM_SIZE + sum(head.cast("H"))):
             raise SystemFormatError(f"{len(words)} bytes do not hold the terms they count")
-        self.words = words
+        self.words = bytes(words)
 
     @property
     def term_words(self) -> list[memoryview]:

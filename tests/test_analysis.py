@@ -289,6 +289,39 @@ def test_bench_needs_a_compiled_system(system):
         bench(sizes=(100,), params=HfParams(system=TermSumEvaluator(system)))
 
 
+BENCH_ENTRY_KEYS = [
+    "size", "compiled_seconds", "oracle_seconds", "sha256_seconds", "compiled_mbps",
+    "oracle_mbps", "sha256_mbps", "compile_speedup", "vs_sha256"]
+
+
+def test_bench_entries_hold_their_rates_from_their_seconds(params):
+    report = bench(sizes=(0, 600, 3000), params=params, oracle_cap=1000)
+    entries = report.to_dict()["entries"]
+    for d in entries:
+        assert list(d) == BENCH_ENTRY_KEYS
+        size = d["size"]
+        assert d["compiled_mbps"] == size / 1e6 / d["compiled_seconds"]
+        assert d["sha256_mbps"] == size / 1e6 / d["sha256_seconds"]
+        assert d["vs_sha256"] == d["compiled_seconds"] / d["sha256_seconds"]
+        if size == 600:
+            assert d["oracle_mbps"] == size / 1e6 / d["oracle_seconds"]
+            assert d["compile_speedup"] == d["oracle_seconds"] / d["compiled_seconds"]
+        else:
+            assert d["oracle_seconds"] is d["oracle_mbps"] is d["compile_speedup"] is None
+    entries[1]["size"] = entries[1]["compiled_mbps"] = -1
+    assert report.entries[1].size == 600 and report.entries[1].compiled_mbps > 0
+    assert report.to_dict()["entries"][1]["size"] == 600
+
+
+def test_editing_a_diffusion_dict_leaves_the_report():
+    report = diffusion(rounds=32)
+    d = report.to_dict()
+    d["min_weight"] = -1
+    del d["rounds"]
+    assert (report.rounds, report.min_weight) == (32, 18)
+    assert report.to_dict()["min_weight"] == 18
+
+
 def test_bench_oracle_skipped_above_cap(params):
     report = bench(sizes=(3000,), params=params, oracle_cap=1000)
     entry = report.entries[0]

@@ -1,10 +1,13 @@
+import copy
 import logging
+import pickle
 from importlib import resources
 
 import pytest
 
 from hfhash import _cache
 from hfhash.anf import NUM_VARS, SYSTEM_SIZE, PolynomialSyntaxError, _vars
+from hfhash.evaluator import TermSumEvaluator, compile_system
 from hfhash.system import (
     ASSET_ENV_VAR,
     MAX_ASSET_CHARS,
@@ -114,6 +117,29 @@ def test_a_system_is_made_from_its_words(system):
         PolynomialSystem()
     made = PolynomialSystem(system.words)
     assert made == system and made.words is system.words
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_a_system_made_from_a_writable_buffer_keeps_its_words(wrap, tmp_path, monkeypatch):
+    # its tables go to a cache of its own, so that the package's entries stay
+    monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
+    made = load_system("\n".join(f"y_{{{k}}} = x_{{{k}}}x_{{{k + 1}}} + x_{{{k + 32}}}"
+                                 for k in range(1, 33)))
+    source = wrap(made.words)
+    system = PolynomialSystem(source)
+    assert hash(system) == hash(made)
+    assert pickle.loads(pickle.dumps(system)) == made
+    assert copy.deepcopy(system) == made
+    compiled = compile_system(system)
+    inputs = [1, 2**64 - 1, 0x0123456789ABCDEF]
+    want = [made.eval_reference(x) for x in inputs]
+    # every term word becomes the constant: each polynomial would read 0
+    source[2 * SYSTEM_SIZE:] = bytes(len(source) - 2 * SYSTEM_SIZE)
+    for evaluate in (system.eval_reference, compiled.eval_word,
+                     TermSumEvaluator(system).eval_word):
+        assert [evaluate(x) for x in inputs] == want
+    assert system == made
 
 
 @pytest.mark.parametrize("words", [
