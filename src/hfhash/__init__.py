@@ -20,7 +20,6 @@ from .core import (
     SelfTestReport,
     default_params,
     hash_bytes,
-    params_with,
     self_test,
 )
 from .evaluator import (
@@ -66,7 +65,6 @@ __all__ = [
     "hash_bytes",
     "load_default_system",
     "load_system",
-    "params_with",
     "self_test",
     "__version__",
 ]

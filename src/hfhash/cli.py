@@ -8,8 +8,9 @@ import os
 import re
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
-from .core import BLOCK_BYTES, VALID_ROUNDS, Hasher, params_with, self_test
+from .core import BLOCK_BYTES, VALID_ROUNDS, Hasher, default_params, self_test
 from .system import AssetError, load_default_system
 
 # thresholds the non-last-rule diffusion experiment is expected to meet
@@ -75,7 +76,7 @@ def _emit(report, as_json: bool) -> None:
 
 def cmd_sum(paths, upper, grouped, rounds):
     """Print `<digest>  <name>` for each file, or for standard input."""
-    params = params_with(rounds=int(rounds))
+    params = replace(default_params(), rounds=int(rounds))
     failed = False
     for path in paths or ["-"]:
         hasher = Hasher(params)
@@ -93,7 +94,7 @@ def cmd_sum(paths, upper, grouped, rounds):
 
 def cmd_selftest(rounds, as_json):
     """Compare the three reference digests against fresh computations."""
-    report = self_test(params_with(rounds=int(rounds)))
+    report = self_test(replace(default_params(), rounds=int(rounds)))
     _emit(report, as_json)
     return int(not report.all_ok)
 
@@ -109,7 +110,7 @@ def cmd_avalanche(input_hex, seed, rounds, as_json):
         message = random.Random(seed).randbytes(BLOCK_BYTES)
     else:
         message = analysis.DEFAULT_AVALANCHE_INPUT
-    _emit(analysis.avalanche(message, params_with(rounds=int(rounds))), as_json)
+    _emit(analysis.avalanche(message, replace(default_params(), rounds=int(rounds))), as_json)
     return 0
 
 
@@ -168,10 +169,22 @@ def cmd_poly(index, eval_hex, stats, as_json):
     return 0
 
 
+class _Store(argparse.Action):
+    """argparse's default action, except that an option given as
+    ``--name=--`` is a usage error: argparse drops the ``--`` and hands
+    the option an empty list, which no command takes."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == [] and self.nargs is None:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 def _parser() -> argparse.ArgumentParser:
     # --help but no -h, and every option spelled in full
     def parser(adder, **kwargs):
         new = adder(add_help=False, allow_abbrev=False, **kwargs)
+        new.register("action", None, _Store)
         new.add_argument("--help", action="help", help="Show this message and exit.")
         return new
 

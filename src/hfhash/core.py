@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import evaluator
@@ -408,13 +408,3 @@ def self_test(params: HfParams | None = None) -> SelfTestReport:
         VectorCheck(message=m, expected=e, actual=hash_bytes(m, params).hex())
         for m, e in TEST_VECTORS))
 
-
-def params_with(rounds: int | None = None, layout: LayoutConfig | None = None,
-                base: HfParams | None = None) -> HfParams:
-    """Convenience: the default params with selected fields overridden."""
-    p = base if base is not None else default_params()
-    if rounds is not None:
-        p = replace(p, rounds=rounds)
-    if layout is not None:
-        p = replace(p, layout=layout)
-    return p

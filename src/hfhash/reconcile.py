@@ -17,7 +17,7 @@ package so the enumeration remains reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     CANONICAL_LAYOUT,
@@ -27,7 +27,7 @@ from .core import (
     LayoutError,
     SelfTestReport,
     TEST_VECTORS,
-    params_with,
+    default_params,
     self_test,
 )
 
@@ -46,22 +46,6 @@ class SweepEntry:
     report: SelfTestReport | None
     error: str | None
 
-    @property
-    def usable(self) -> bool:
-        return self.report is not None
-
-    @property
-    def digests(self) -> tuple[str, ...]:
-        return tuple(c.actual for c in self.report.checks) if self.usable else ()
-
-    def matches(self) -> tuple[bool, ...]:
-        if not self.usable:
-            return (False,) * len(TEST_VECTORS)
-        return tuple(c.ok for c in self.report.checks)
-
-    def full_match(self) -> bool:
-        return self.usable and self.report.all_ok
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -71,39 +55,23 @@ class SweepReport:
     canonical = CANONICAL_LAYOUT
 
     @property
-    def messages(self) -> tuple[bytes, ...]:
-        return tuple(m for m, _ in TEST_VECTORS)
-
-    @property
-    def expected(self) -> tuple[str, ...]:
-        return tuple(e for _, e in TEST_VECTORS)
-
-    @property
     def matching_layouts(self) -> tuple[LayoutConfig, ...]:
-        return tuple(e.layout for e in self.entries if e.full_match())
-
-    @property
-    def canonical_entry(self) -> SweepEntry:
-        for e in self.entries:
-            if e.layout == self.canonical:
-                return e
-        raise LookupError("canonical layout missing from sweep")
+        return tuple(e.layout for e in self.entries if e.report is not None and e.report.all_ok)
 
     def format_text(self) -> str:
-        names = " ".join(m.decode("ascii", "replace") or '""'
-                         for m in self.messages)
+        names = " ".join(m.decode("ascii", "replace") or '""' for m, _ in TEST_VECTORS)
         lines = [f"layout sweep over {len(self.entries)} candidate "
                  f"configurations, messages: {names}"]
         for e in self.entries:
             tag = " (canonical)" if e.layout == self.canonical else ""
             lines.append(f"  {e.layout.describe()}{tag}")
-            if not e.usable:
+            if e.report is None:
                 lines.append(f"    unusable: {e.error}")
                 continue
-            for msg, digest, ok in zip(self.messages, e.digests, e.matches()):
-                mark = "MATCH" if ok else "differs"
-                lines.append(f"    {msg.decode('ascii', 'replace')!r}: "
-                             f"{digest}  [{mark}]")
+            for c in e.report.checks:
+                mark = "MATCH" if c.ok else "differs"
+                lines.append(f"    {c.message.decode('ascii', 'replace')!r}: "
+                             f"{c.actual}  [{mark}]")
         matching = self.matching_layouts
         if matching:
             lines.append(f"matching layouts: {len(matching)}")
@@ -116,16 +84,17 @@ class SweepReport:
 
     def to_dict(self) -> dict:
         return {
-            "messages": [m.decode("ascii", "replace") for m in self.messages],
-            "expected": list(self.expected),
+            "messages": [m.decode("ascii", "replace") for m, _ in TEST_VECTORS],
+            "expected": [e for _, e in TEST_VECTORS],
             "canonical": self.canonical.describe(),
             "entries": [
                 {
                     "layout": e.layout.describe(),
-                    "usable": e.usable,
+                    "usable": e.report is not None,
                     "error": e.error,
-                    "digests": list(e.digests),
-                    "matches": list(e.matches()),
+                    "digests": [c.actual for c in e.report.checks] if e.report else [],
+                    "matches": ([c.ok for c in e.report.checks] if e.report
+                                else [False] * len(TEST_VECTORS)),
                 }
                 for e in self.entries
             ],
@@ -136,10 +105,11 @@ class SweepReport:
 def sweep(params: HfParams | None = None) -> SweepReport:
     """Run the self test under all 16 layouts of `params` (default: the
     shipped system)."""
+    base = params if params is not None else default_params()
     entries = []
     for layout in all_layouts():
         try:
-            report, error = self_test(params_with(layout=layout, base=params)), None
+            report, error = self_test(replace(base, layout=layout)), None
         except LayoutError as exc:
             report, error = None, str(exc)
         entries.append(SweepEntry(layout=layout, report=report, error=error))

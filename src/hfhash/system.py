@@ -64,9 +64,11 @@ class PolynomialSystem:
     """Exactly 32 polynomials; position k-1 holds index k.
 
     ``PolynomialSystem(words)`` is the system whose state is ``words``,
-    bytes of native uint16: the 32 term counts, then each polynomial's
-    term words in ascending order.  Any other buffer is copied into
-    bytes, so that editing it later changes no system.  Only the counts
+    any contiguous buffer of native uint16 (bytes, ``array("H")``, a
+    memoryview of either): the 32 term counts, then each polynomial's
+    term words in ascending order.  It is stored as its bytes, copied
+    from any buffer but ``bytes``, so that editing the buffer later
+    changes no system.  Only the counts
     are checked: words that do not hold the terms they count raise
     SystemFormatError.  The words are the system's whole identity:
     equality, hashing, ``repr``, pickling, copying and the key of its
@@ -76,9 +78,10 @@ class PolynomialSystem:
     __slots__ = ("words",)
 
     def __init__(self, words: bytes):
-        head = memoryview(words)[:2 * SYSTEM_SIZE]
-        if len(head) < 2 * SYSTEM_SIZE or len(words) != 2 * (SYSTEM_SIZE + sum(head.cast("H"))):
-            raise SystemFormatError(f"{len(words)} bytes do not hold the terms they count")
+        data = memoryview(words).cast("B")
+        head = data[:2 * SYSTEM_SIZE]
+        if len(head) < 2 * SYSTEM_SIZE or len(data) != 2 * (SYSTEM_SIZE + sum(head.cast("H"))):
+            raise SystemFormatError(f"{len(data)} bytes do not hold the terms they count")
         self.words = bytes(words)
 
     @property

@@ -1,5 +1,9 @@
+import types
+from dataclasses import replace
+
 import pytest
 
+from hfhash import evaluator
 from hfhash.anf import _vars
 from hfhash.core import default_params
 from hfhash.evaluator import compile_system
@@ -20,6 +24,18 @@ def compiled(system):
 def params():
     # compiled once per session; hash tests share it
     return default_params()
+
+
+@pytest.fixture(params=["native", "python"])
+def engine_params(request, params, system, monkeypatch):
+    """The default params on the production `eval_word`, or on the Python
+    closure the evaluator falls back to when the native build fails."""
+    if request.param == "native":
+        return params
+    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+    python = replace(params, system=evaluator.compile_system(system))
+    assert isinstance(python.system.eval_word, types.FunctionType)
+    return python
 
 
 @pytest.fixture(scope="session")

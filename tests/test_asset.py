@@ -1,6 +1,7 @@
 import copy
 import logging
 import pickle
+from array import array
 from importlib import resources
 
 import pytest
@@ -140,6 +141,18 @@ def test_a_system_made_from_a_writable_buffer_keeps_its_words(wrap, tmp_path, mo
                      TermSumEvaluator(system).eval_word):
         assert [evaluate(x) for x in inputs] == want
     assert system == made
+
+
+@pytest.mark.parametrize("wrap", [lambda b: array("H", b), lambda b: memoryview(b).cast("H")],
+                         ids=["array", "uint16-memoryview"])
+def test_a_system_is_made_from_any_buffer_of_uint16_words(system, wrap):
+    # the counts are checked in bytes, whatever the buffer's item size
+    made = PolynomialSystem(wrap(system.words))
+    assert made == system and type(made.words) is bytes
+    with pytest.raises(SystemFormatError, match=f"^{len(system.words) - 2} bytes"):
+        PolynomialSystem(wrap(system.words[:-2]))
+    with pytest.raises(TypeError):
+        PolynomialSystem(system.words.decode("latin-1"))
 
 
 @pytest.mark.parametrize("words", [

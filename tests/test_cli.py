@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,11 +10,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import hfhash
 
 from hfhash import _cache, cli, core, system
-from hfhash.analysis import DEFAULT_AVALANCHE_INPUT
+from hfhash.analysis import DEFAULT_AVALANCHE_INPUT, MAX_BENCH_SIZE
 from hfhash.cli import main
 from hfhash.system import ASSET_ENV_VAR, MAX_ASSET_CHARS
 
@@ -344,6 +346,74 @@ def test_index_refuses_what_is_not_1_to_32(run_cli, spelling):
     assert result.stdout == ""
 
 
+# each command and option, with the arguments that keep a valid run cheap;
+# the value is the option's, a path of `sum`, or the command itself
+HOSTILE_TARGETS = [
+    (["sum", "--rounds=32"], None), (["sum"], "--rounds"), (["selftest"], "--rounds"),
+    (["avalanche", "--rounds=32"], "--input"), (["avalanche", "--rounds=32"], "--seed"),
+    (["avalanche"], "--rounds"), (["diffusion"], "--rounds"),
+    (["diffusion", "--rounds=32"], "--rule"), (["bench"], "--sizes"), (["poly"], "--index"),
+    (["poly", "--index=1"], "--eval"), ([], None),
+]
+HOSTILE = ["", " ", "\t", "\n", "-", "--", "+1", "-1", "-0", "0x1f", "0X1F", "1_0", "1,",
+           ",1", "\u0663", "\uff11", "9" * 5000, "0" * 5000, "\0", "1\0", "\0" + "1" * 16,
+           "%s", "%(prog)s", "{}", "\udcff", "32", "last", "0" * 112, "f" * 16]
+hostile = st.one_of(
+    st.sampled_from(HOSTILE),
+    st.text(st.sampled_from(" \t\n+-_,.%0123456789abcdefxX\u0663\0"), max_size=10),
+    st.builds("".join, st.lists(st.sampled_from(HOSTILE), min_size=2, max_size=3)))
+
+
+def _runs_long(sizes):
+    """Sizes that `bench` takes and that hash more than 1 KB."""
+    parts = sizes.split(",")
+    return (all(re.fullmatch("[0-9]+", p) for p in parts)
+            and any(len(p) <= 4300 and 1024 < int(p) <= MAX_BENCH_SIZE for p in parts))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(HOSTILE_TARGETS), value=hostile, joined=st.booleans(),
+       as_json=st.booleans())
+def test_hostile_arguments_exit_cleanly(run_cli, tmp_path, monkeypatch, target, value,
+                                        joined, as_json):
+    monkeypatch.chdir(tmp_path)
+    fixed, option = target
+    if option is None:
+        argv = [*fixed, value]
+    else:
+        argv = [*fixed, f"{option}={value}"] if joined else [*fixed, option, value]
+    if as_json and fixed[:1] not in ([], ["sum"]):
+        argv.append("--json")
+    assume(option != "--sizes" or not _runs_long(value))
+    result = run_cli(argv)
+    err = result.stderr
+    assert result.exit_code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if result.exit_code == 0:
+        assert err == "", argv
+    elif err.startswith("usage: "):
+        assert result.exit_code == 2
+        assert re.search(r"^hfhash( [a-z]+)?: error: ", err, re.M), err
+    elif err:
+        assert re.fullmatch(r"hfhash: .*: [^\n]+\n", err, re.S), err
+        assert err.startswith(f"hfhash: {value}: ") and fixed == ["sum", "--rounds=32"], err
+
+
+@pytest.mark.parametrize("args", [
+    ["sum", "--rounds=--"], ["selftest", "--rounds=--"], ["avalanche", "--input=--"],
+    ["avalanche", "--seed=--"], ["diffusion", "--rule=--"], ["bench", "--sizes=--"],
+    ["poly", "--index=--"], ["poly", "--index=1", "--eval=--"],
+], ids=" ".join)
+def test_an_option_given_as_a_double_dash_is_a_usage_error(run_cli, args):
+    # argparse drops the "--" of `--name=--` and hands the option []
+    result = run_cli(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    option = args[-1].removesuffix("=--")
+    assert result.stderr.endswith(f": error: argument {option}: expected one argument\n")
+
+
 def test_avalanche_takes_a_negative_seed(run_cli):
     result = run_cli(["avalanche", "--rounds", "32", "--seed", "-3"])
     assert result.exit_code == 0
@@ -416,11 +486,13 @@ def test_standard_output_closed_is_one_line_error(command):
 
 @pytest.fixture()
 def uncached_asset(monkeypatch, tmp_path):
-    # commands reach the asset through two cached loaders, `poly` straight
-    # through the second; bypass both so the environment variable is read
-    # again, and leave the caches intact; an asset loaded here is stored
-    # in a cache of its own, so that the package's entries stay
+    # commands reach the asset through two cached loaders, which `cli`
+    # and `core` both call, `poly` straight through the second; bypass
+    # both so the environment variable is read again, and leave the
+    # caches intact; an asset loaded here is stored in a cache of its
+    # own, so that the package's entries stay
     monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
+    monkeypatch.setattr(cli, "default_params", core.default_params.__wrapped__)
     monkeypatch.setattr(core, "default_params", core.default_params.__wrapped__)
     monkeypatch.setattr(core, "load_default_system", core.load_default_system.__wrapped__)
     monkeypatch.setattr(cli, "load_default_system", system.load_default_system.__wrapped__)

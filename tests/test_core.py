@@ -1,6 +1,7 @@
 import random
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hfhash.core import (
     expand,
     hash_bytes,
     pad,
-    params_with,
     parse_blocks,
     self_test,
 )
@@ -208,12 +208,12 @@ LITERAL_ERROR = ("literal last-block word map needs message words M_2..M_15, "
                  "but a block carries M_1..M_14")
 
 
-def test_literal_last_block_map_cannot_run():
+def test_literal_last_block_map_cannot_run(params):
     with pytest.raises(LayoutError):
-        Hasher(params_with(layout=LayoutConfig(last_block_map="literal")))
+        Hasher(replace(params, layout=LayoutConfig(last_block_map="literal")))
 
 
-def test_unrunnable_layout_is_refused_before_any_block(monkeypatch):
+def test_unrunnable_layout_is_refused_before_any_block(params, monkeypatch):
     calls = []
     original = core.compress
 
@@ -222,7 +222,7 @@ def test_unrunnable_layout_is_refused_before_any_block(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(core, "compress", counting)
-    literal = params_with(layout=LayoutConfig(last_block_map="literal"))
+    literal = replace(params, layout=LayoutConfig(last_block_map="literal"))
     with pytest.raises(LayoutError) as err:
         hash_bytes(bytes(10_000), literal)
     assert str(err.value) == LITERAL_ERROR
@@ -426,8 +426,8 @@ def test_hash_is_deterministic(params):
 
 def test_round_count_changes_digest(params):
     msg = b"round count"
-    assert hash_bytes(msg, params_with(rounds=32)) != hash_bytes(msg, params)
-    assert hash_bytes(msg, params_with(rounds=48)) != hash_bytes(msg, params)
+    assert hash_bytes(msg, replace(params, rounds=32)) != hash_bytes(msg, params)
+    assert hash_bytes(msg, replace(params, rounds=48)) != hash_bytes(msg, params)
 
 
 def test_canonical_digests_frozen(params):
@@ -462,7 +462,7 @@ def test_params_reject_non_integer_rounds(compiled, rounds):
 
 def test_params_accept_numpy_integer_rounds(params):
     numpy_rounds = HfParams(system=params.system, rounds=np.int64(48))
-    assert hash_bytes(b"abc", numpy_rounds) == hash_bytes(b"abc", params_with(rounds=48))
+    assert hash_bytes(b"abc", numpy_rounds) == hash_bytes(b"abc", replace(params, rounds=48))
 
 
 def test_layout_validation():
@@ -493,13 +493,13 @@ def test_self_test_reports_honest_mismatch(params):
         CANONICAL_DIGESTS[b"abc"]}
 
 
-def test_self_test_flipped_endianness_also_mismatches():
-    report = self_test(params_with(layout=LayoutConfig(length_endian="big")))
+def test_self_test_flipped_endianness_also_mismatches(params):
+    report = self_test(replace(params, layout=LayoutConfig(length_endian="big")))
     assert report.passed == 0
 
 
 def test_self_test_raises_on_a_layout_that_cannot_run(params):
-    literal = params_with(layout=LayoutConfig(last_block_map="literal"), base=params)
+    literal = replace(params, layout=LayoutConfig(last_block_map="literal"))
     with pytest.raises(LayoutError) as err:
         self_test(literal)
     assert str(err.value) == LITERAL_ERROR

@@ -7,14 +7,10 @@ message of length n is ``message(n)`` below.
 """
 
 import random
-import types
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
-from hfhash import evaluator
-from hfhash.core import LayoutConfig, hash_bytes, params_with
+from hfhash.core import LayoutConfig, hash_bytes
 
 KAT_PATH = Path(__file__).parent / "data" / "kat.txt"
 
@@ -39,23 +35,11 @@ def test_kat_corpus_size():
     assert len(load_kat()) == 422
 
 
-@pytest.fixture(params=["native", "python"])
-def engine_params(request, params, system, monkeypatch):
-    """The default params on the production `eval_word`, or on the Python
-    closure the evaluator falls back to when the native build fails."""
-    if request.param == "native":
-        return params
-    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
-    python = replace(params, system=evaluator.compile_system(system))
-    assert isinstance(python.system.eval_word, types.FunctionType)
-    return python
-
-
 def test_kat_corpus(engine_params):
     mismatches = []
     for rounds, layout, length, digest in load_kat():
         got = hash_bytes(message(length),
-                         params_with(rounds, layout, base=engine_params)).hex()
+                         replace(engine_params, rounds=rounds, layout=layout)).hex()
         if got != digest:
             mismatches.append((rounds, layout.describe(), length))
     assert mismatches == []

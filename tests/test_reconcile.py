@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,6 @@ from hfhash.core import (
     LayoutConfig,
     LayoutError,
     TEST_VECTORS,
-    params_with,
     self_test,
 )
 from hfhash.reconcile import all_layouts, sweep
@@ -32,6 +32,10 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _digests(entry):
+    return tuple(c.actual for c in entry.report.checks)
+
+
 def test_sixteen_distinct_layouts():
     layouts = all_layouts()
     assert len(layouts) == 16
@@ -47,27 +51,28 @@ def test_layout_order_is_pinned():
 def test_half_of_the_layouts_are_usable(params):
     report = sweep(params)
     assert len(report.entries) == 16
-    usable = [e for e in report.entries if e.usable]
+    usable = [e for e in report.entries if e.report is not None]
     assert len(usable) == 8
     assert all(e.layout.last_block_map == "shifted" for e in usable)
     for entry in report.entries:
-        if not entry.usable:
+        if entry.report is None:
             assert entry.layout.last_block_map == "literal"
             assert "M_1..M_14" in entry.error
-            assert entry.digests == ()
 
 
 def test_usable_digests_are_frozen(params):
     report = sweep(params)
-    blob = "".join("".join(e.digests) for e in report.entries if e.usable)
+    blob = "".join("".join(_digests(e)) for e in report.entries if e.report is not None)
     assert hashlib.sha256(blob.encode()).hexdigest() == USABLE_FINGERPRINT
 
 
 def test_no_layout_reproduces_the_published_digests(params):
     report = sweep(params)
     assert report.matching_layouts == ()
-    assert not report.canonical_entry.full_match()
-    assert report.expected == tuple(e for _, e in TEST_VECTORS)
+    for entry in report.entries:
+        if entry.report is not None:
+            assert entry.report.passed == 0
+            assert [(c.message, c.expected) for c in entry.report.checks] == list(TEST_VECTORS)
 
 
 def test_sweep_is_reproducible(params):
@@ -77,7 +82,7 @@ def test_sweep_is_reproducible(params):
 def test_all_usable_layouts_disagree_pairwise(params):
     # each encoding choice must actually change the digests
     report = sweep(params)
-    first = [e.digests[0] for e in report.entries if e.usable]
+    first = [_digests(e)[0] for e in report.entries if e.report is not None]
     assert len(set(first)) == 8
 
 
@@ -85,9 +90,10 @@ def test_flipped_length_endianness_entry(params):
     report = sweep(params)
     flipped = LayoutConfig(length_endian="big")
     entry = next(e for e in report.entries if e.layout == flipped)
-    assert entry.usable
-    assert entry.matches() == (False, False, False)
-    assert entry.digests[0] != report.canonical_entry.digests[0]
+    canonical = next(e for e in report.entries if e.layout == report.canonical)
+    assert entry.report is not None
+    assert [c.ok for c in entry.report.checks] == [False, False, False]
+    assert _digests(entry)[0] != _digests(canonical)[0]
 
 
 def test_report_text_and_dict(params):
@@ -117,10 +123,10 @@ def test_self_test_outputs_are_pinned(params):
 
 def test_sweep_runs_the_self_test_under_each_layout(params):
     report = sweep(params)
-    assert sum(not e.usable for e in report.entries) == 8
+    assert sum(e.report is None for e in report.entries) == 8
     for entry in report.entries:
-        trial = params_with(layout=entry.layout, base=params)
-        if entry.usable:
+        trial = replace(params, layout=entry.layout)
+        if entry.report is not None:
             assert entry.error is None
             assert entry.report == self_test(trial)
         else:
