@@ -33,14 +33,11 @@ def _sizes(text: str) -> tuple[int, ...]:
     parts = text.split(",")
     if not all(re.fullmatch("[0-9]+", s) for s in parts):
         raise argparse.ArgumentTypeError("sizes must be nonnegative integers")
-    try:
-        sizes = tuple(int(s) for s in parts)
-        too_big = any(s > MAX_BENCH_SIZE for s in sizes)
-    except ValueError:  # int() refuses more than 4300 digits
-        too_big = True
-    if too_big:
+    # judged by significant digits: int() counts leading zeros towards its 4300-digit limit
+    digits = [s.lstrip("0") or "0" for s in parts]
+    if any(len(s) > len(str(MAX_BENCH_SIZE)) or int(s) > MAX_BENCH_SIZE for s in digits):
         raise argparse.ArgumentTypeError(f"sizes must be at most {MAX_BENCH_SIZE} bytes")
-    return sizes
+    return tuple(int(s) for s in digits)
 
 
 def _echo(text: str, file=None) -> None:

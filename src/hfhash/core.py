@@ -15,6 +15,7 @@ and where the padding 1-bit lands inside its byte) are captured in
 
 from __future__ import annotations
 
+import copy
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -205,12 +206,10 @@ def parse_blocks(padded: bytes) -> list[tuple[int, ...]]:
 
 def _read_blocks(data):
     """Lazily read the whole 56-byte blocks of `data`, each as the tuple
-    of its 14 little-endian words; a partial tail is left unread.
-
-    A bytearray is read from a copy of its whole blocks, so its owner
-    may trim it while the blocks are read.
-    """
-    return _BLOCK.iter_unpack(data[:len(data) - len(data) % BLOCK_BYTES])
+    of its 14 little-endian words, through a view; a partial tail is
+    left unread."""
+    view = memoryview(data)
+    return _BLOCK.iter_unpack(view[:len(view) - len(view) % BLOCK_BYTES])
 
 
 def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False) -> list[int]:
@@ -306,15 +305,13 @@ class Hasher:
                 "literal last-block word map needs message words M_2..M_15, "
                 "but a block carries M_1..M_14")
         self._chain = IV
-        self._buffer = bytearray()      # a partial block, never a whole one; None once finalized
         self._total_bits = 0
+        self._tail = b""        # the bytes after the last whole block; None once finalized
 
     def copy(self) -> "Hasher":
-        """An independent hasher in the same state."""
-        other = Hasher(self.params)
-        other._chain, other._total_bits = self._chain, self._total_bits
-        other._buffer = None if self._buffer is None else bytearray(self._buffer)
-        return other
+        """An independent hasher in the same state; no part of the state
+        changes in place, so a shallow copy is one."""
+        return copy.copy(self)
 
     def _absorb(self, chain, blocks) -> tuple[int, ...]:
         params = self.params
@@ -324,23 +321,21 @@ class Hasher:
 
     def update(self, data) -> "Hasher":
         """Absorb a bytes-like chunk; ``str`` raises TypeError."""
-        buffer = self._buffer
-        if buffer is None:
+        if self._tail is None:
             raise ValueError("update after finalize")
         view = memoryview(data).cast("B")
         self._total_bits += 8 * len(view)
-        buffer += view
-        self._chain = self._absorb(self._chain, _read_blocks(buffer))
-        del buffer[:len(buffer) - len(buffer) % BLOCK_BYTES]
+        data = self._tail + view
+        self._chain = self._absorb(self._chain, _read_blocks(data))
+        self._tail = data[len(data) - len(data) % BLOCK_BYTES:]
         return self
 
     def _digest(self) -> Digest:
         """The digest of what was absorbed; the state is left as it is.
         The final block of the padded tail is the one last block."""
-        if self._buffer is None:
+        if self._tail is None:
             raise ValueError("hasher already finalized")
-        tail = bytes(self._buffer) + _pad_tail(self._total_bits, self.params.layout)
-        *blocks, last = parse_blocks(tail)
+        *blocks, last = parse_blocks(self._tail + _pad_tail(self._total_bits, self.params.layout))
         return Digest(words=compress(self._absorb(self._chain, blocks), last, self.params, True))
 
     def digest(self) -> bytes:
@@ -351,7 +346,7 @@ class Hasher:
 
     def finalize(self) -> Digest:
         digest = self._digest()
-        self._buffer = None
+        self._tail = None
         return digest
 
 

@@ -255,25 +255,18 @@ class CompiledSystem:
         return eval_word
 
 
-def _tables(system: PolynomialSystem, widths: tuple[int, ...]) -> tuple[memoryview, str]:
-    """``_pair_tables`` of ``system`` for ``widths``, read from the cache
-    entry keyed by the system's words or built and stored there, and the
-    cache's note on which."""
-    def build():
-        return _pair_tables(_collect_masks(system), system.constant_word, widths)
-
-    return _cache.cached("tables-" + "_".join(map(str, widths)), system.words,
-                         build, decode=lambda payload: payload.cast("I"))
-
-
 def compile_system(system: PolynomialSystem) -> CompiledSystem:
     """Precompute the pair tables of the evaluator that loads, or read
-    them from the cache.  Deterministic in the system."""
+    them from the cache entry keyed by the system's words.  Deterministic
+    in the system."""
     pmap, how = _load_pmap()
     widths, bind, kind = (
         (_BYTE_WIDTHS, CompiledSystem._bind, "python closure") if pmap is None else
         (pmap.CHUNK_WIDTHS, lambda t: pmap.Evaluator(t).eval_word, "native _pmap evaluator"))
-    tables, note = _tables(system, widths)
+    tables, note = _cache.cached(
+        "tables-" + "_".join(map(str, widths)), system.words,
+        lambda: _pair_tables(_collect_masks(system), system.constant_word, widths),
+        decode=lambda payload: payload.cast("I"))
     log.debug("eval_word: %s (%s); %s", kind, how, note)
     return CompiledSystem(tables, bind(tables), system)
 

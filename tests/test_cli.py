@@ -206,6 +206,15 @@ def test_bench_rejects_sizes_above_the_cap(run_cli, size):
     assert f"sizes must be at most {2**28 - 1} bytes" in result.stderr
 
 
+@pytest.mark.parametrize("size, row", [("0" * 5000, 0), ("0" * 4999 + "1", 1)],
+                         ids=["5000-zeros", "4999-zeros-then-1"])
+def test_bench_reads_a_size_by_its_significant_digits(run_cli, size, row):
+    # int() counts leading zeros towards its 4300-digit limit
+    result = run_cli(["bench", "--json", f"--sizes={size}"])
+    assert result.exit_code == 0, result.stderr
+    assert [e["size"] for e in json.loads(result.stdout)["entries"]] == [row]
+
+
 def test_poly_eval_constant_bits(run_cli):
     result = run_cli(["poly", "--index", "1",
                       "--eval", "0000000000000000"])
@@ -367,8 +376,10 @@ hostile = st.one_of(
 def _runs_long(sizes):
     """Sizes that `bench` takes and that hash more than 1 KB."""
     parts = sizes.split(",")
+    digits = [p.lstrip("0") for p in parts]  # a size is judged by its significant digits
     return (all(re.fullmatch("[0-9]+", p) for p in parts)
-            and any(len(p) <= 4300 and 1024 < int(p) <= MAX_BENCH_SIZE for p in parts))
+            and any(4 <= len(d) <= len(str(MAX_BENCH_SIZE)) and 1024 < int(d) <= MAX_BENCH_SIZE
+                    for d in digits))
 
 
 @settings(max_examples=300, deadline=None,

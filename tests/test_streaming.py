@@ -93,6 +93,17 @@ def test_bytes_like_inputs_agree(params):
     assert hasher.finalize() == want
 
 
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_a_hasher_keeps_no_reference_to_the_callers_buffer(params, wrap):
+    message = bytes(range(130))
+    held = wrap(message[:60])       # one whole block and 4 bytes of the next
+    hasher = Hasher(params).update(held)
+    held[:] = bytes(60)
+    hasher.update(message[60:])
+    assert hasher.finalize() == hash_bytes(message, params)
+
+
 def test_hashlib_attributes(params):
     hasher = Hasher(params)
     assert (hasher.name, hasher.digest_size, hasher.block_size) == ("hfhash", 32, 56)
