@@ -31,9 +31,11 @@
  *
  * `schedule(prefix)` runs the schedule recurrence of `core._schedule`,
  * the Python spec it is tested against, on the 16-word prefix that
- * `core.expand` lays out, and returns all 64 words.  A word outside
- * [0, 2**32) is an OverflowError, never truncated.  The recurrence
- * itself is the inline `schedule()`, for a future whole-block kernel.
+ * `core.expand` lays out, and returns the 64 words as they sit in `w`:
+ * 256 bytes of native uint32 words, with no Python int made per word.
+ * A word outside [0, 2**32) is an OverflowError, never truncated.  The
+ * recurrence itself is the inline `schedule()`, for a future whole-block
+ * kernel.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -196,23 +198,12 @@ pmap_schedule(PyObject *Py_UNUSED(module), PyObject *arg)
     }
     Py_DECREF(seq);
     schedule(w);
-    PyObject *out = PyList_New(SCHEDULE_WORDS);
-    if (out == NULL)
-        return NULL;
-    for (int j = 0; j < SCHEDULE_WORDS; j++) {
-        PyObject *word = PyLong_FromUnsignedLong(w[j]);
-        if (word == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, j, word);
-    }
-    return out;
+    return PyBytes_FromStringAndSize((const char *)w, sizeof w);
 }
 
 static PyMethodDef pmap_methods[] = {
     {"schedule", pmap_schedule, METH_O,
-     "schedule(prefix) -> the 64 schedule words of a 16-word prefix"},
+     "schedule(prefix) -> the 64 schedule words of a 16-word prefix, as bytes"},
     {NULL, NULL, 0, NULL},
 };
 

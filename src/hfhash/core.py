@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import numbers
 import struct
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -212,8 +213,11 @@ def _read_blocks(data):
     return _BLOCK.iter_unpack(view[:len(view) - len(view) % BLOCK_BYTES])
 
 
-def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False) -> list[int]:
-    """Build the 64-word schedule for the 14 message words of one block.
+def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False) -> memoryview:
+    """Build the 64-word schedule for the 14 message words of one block,
+    as a read-only view of 64 native uint32 words (format ``"I"``).  It
+    indexes, slices and iterates as ints, compares by value, and
+    ``.tolist()`` makes the ints once where a caller needs them all.
 
     Ordinary blocks interleave the chain as W_0 and W_15 around the
     message words; the final padded block (`is_last`) moves both chain
@@ -224,11 +228,12 @@ def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False
 
     The recurrence runs in the native ``_pmap.schedule`` when the
     extension loads (looked up on every call, so a test that disables
-    it runs Python), otherwise in `_schedule`, its spec.  Words are
-    32-bit ints; either engine raises OverflowError for one outside
-    ``[0, 2**32)``.  The recurrence is XOR and one fixed rotation, so
-    rotating every input word by p rotates every schedule word by p;
-    `analysis.diffusion` relies on that.
+    it runs Python), otherwise in `_schedule`, its spec; both give the
+    same 256 bytes.  Input words are 32-bit ints; either engine raises
+    OverflowError for one outside ``[0, 2**32)``.  The recurrence is
+    XOR and one fixed rotation, so rotating every input word by p
+    rotates every schedule word by p; `analysis.diffusion` relies on
+    that.
     """
     if len(words) != WORDS_PER_BLOCK:
         raise ValueError(f"a block holds exactly {WORDS_PER_BLOCK} words, got {len(words)}")
@@ -237,12 +242,13 @@ def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False
     else:
         prefix = [chain[0], *words, chain[7]]
     pmap = evaluator._load_pmap()[0]
-    return pmap.schedule(prefix) if pmap is not None else _schedule(prefix)
+    return memoryview(pmap.schedule(prefix) if pmap is not None else _schedule(prefix)).cast("I")
 
 
-def _schedule(prefix: list[int]) -> list[int]:
+def _schedule(prefix: list[int]) -> bytes:
     """The 64 schedule words of a 16-word prefix, in Python:
-    W_j = rotl3(W_{j-16} ^ W_{j-14} ^ W_{j-8} ^ W_{j-1})."""
+    W_j = rotl3(W_{j-16} ^ W_{j-14} ^ W_{j-8} ^ W_{j-1}), as the 256
+    bytes of native uint32 words that ``_pmap.schedule`` returns."""
     if min(prefix) < 0 or max(prefix) > MASK32:
         bad = next(x for x in prefix if not 0 <= x <= MASK32)
         raise OverflowError(f"schedule word {bad!r} outside [0, 2**32)")
@@ -250,7 +256,7 @@ def _schedule(prefix: list[int]) -> list[int]:
     for j in range(16, SCHEDULE_LEN):
         x = w[j - 16] ^ w[j - 14] ^ w[j - 8] ^ w[j - 1]
         w[j] = ((x << 3) | (x >> 29)) & MASK32
-    return w
+    return array("I", w).tobytes()
 
 
 def compress(chain: tuple[int, ...], words: tuple[int, ...], params: HfParams,
@@ -266,7 +272,7 @@ def compress(chain: tuple[int, ...], words: tuple[int, ...], params: HfParams,
     w = expand(words, chain, is_last)
     ev = params.system.eval_word
     h0, h1, h2, h3, h4, h5, h6, h7 = chain
-    for wj, kj in zip(w[:params.rounds], ROUND_CONSTANTS):
+    for wj, kj in zip(w[:params.rounds].tolist(), ROUND_CONSTANTS):
         # T1 and T2 stay unreduced: every later use of them is taken mod
         # 2**32, so only the two new words are reduced.  The state shifts
         # three words at a time, which CPython does without a tuple.

@@ -181,7 +181,7 @@ def test_parse_rejects_partial_block():
 # --- schedule expansion ----------------------------------------------------
 
 def test_zero_everything_expands_to_zero():
-    assert expand((0,) * 14, (0,) * 8) == [0] * 64
+    assert expand((0,) * 14, (0,) * 8).tolist() == [0] * 64
 
 
 def test_non_last_prefix_layout():
@@ -270,7 +270,7 @@ def test_rotating_every_input_word_rotates_the_schedule(is_last):
         rotated = expand(tuple(rotl32(x, p) for x in words),
                          tuple(rotl32(x, p) for x in chain), is_last)
         assert len(rotated) == 64
-        assert rotated == [rotl32(x, p) for x in w]
+        assert rotated.tolist() == [rotl32(x, p) for x in w]
 
 
 def _native_schedule():
@@ -327,9 +327,36 @@ words32 = st.one_of(st.sampled_from([0, MASK32]), st.integers(0, MASK32))
 def test_native_schedule_matches_python(prefix):
     schedule = _native_schedule()
     want = core._schedule(list(prefix))
-    assert len(want) == 64 and want[:16] == prefix
+    words = memoryview(want).cast("I").tolist()
+    assert len(words) == 64 and words[:16] == prefix
     assert schedule(prefix) == want
     assert schedule(tuple(prefix)) == want
+
+
+@pytest.mark.parametrize("engine", ["native", "python"])
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[words32] * 14), st.tuples(*[words32] * 8), st.booleans())
+def test_expand_is_a_read_only_view_of_the_native_words(engine, words, chain, is_last):
+    with pytest.MonkeyPatch.context() as m:
+        if engine == "native":
+            _native_schedule()
+        else:
+            _disable_native(m)
+        w = expand(words, chain, is_last)
+    prefix = [chain[0], chain[7], *words] if is_last else [chain[0], *words, chain[7]]
+    assert bytes(w) == core._schedule(prefix)
+    assert isinstance(w, memoryview) and w.readonly
+    assert (len(w), w.format, w.itemsize, w.nbytes) == (64, "I", 4, 256)
+    with pytest.raises(TypeError):
+        w[0] = 0
+    ints = w.tolist()
+    assert all(type(x) is int for x in ints)
+    for j in range(16, 64):
+        assert ints[j] == rotl32(ints[j - 16] ^ ints[j - 14] ^ ints[j - 8] ^ ints[j - 1], 3)
+    # `analysis.diffusion` weighs a schedule as one int
+    for rounds in (32, 48, 64):
+        assert (int.from_bytes(w[:rounds], "little").bit_count()
+                == sum(x.bit_count() for x in ints[:rounds]))
 
 
 def test_native_schedule_takes_exactly_16_words():

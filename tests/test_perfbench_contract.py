@@ -115,6 +115,18 @@ def test_streaming_compresses_exactly_the_padded_blocks(
         assert len(parsed) == 1
 
 
+# --- the schedule contract: the `schedule` workload's time is `core.expand`'s
+
+@pytest.mark.parametrize("rule", ["non-last", "last"])
+def test_each_diffusion_report_expands_the_unit_blocks_through_core(monkeypatch, rule):
+    expanded = _record(monkeypatch, "expand")
+    for rounds in (32, 48, 64):
+        expanded.clear()
+        analysis.diffusion(rounds=rounds, rule=rule)
+        assert len(expanded) == 14
+        assert expanded == [(unit, (0,) * 8, rule == "last") for unit in analysis.UNIT_BLOCKS]
+
+
 # --- the round contract: a traced run checks eval_word calls == 2 x rounds x compress calls
 
 class _RecordingSystem:

@@ -100,8 +100,11 @@ held.extend(b"\\0")
 prefix = [random.Random(k).getrandbits(32) for k in range(16)]
 assert module.schedule(prefix) == core._schedule(prefix)
 assert module.schedule(iter(prefix)) == core._schedule(prefix)
-assert module.schedule([0] * 16) == [0] * 64
+assert module.schedule([0] * 16) == bytes(256)
 assert module.schedule([2**32 - 1] * 16) == core._schedule([2**32 - 1] * 16)
+for word in (0, 2**32 - 1):
+    words = module.schedule([word] * 16)
+    assert type(words) is bytes and len(words) == 256
 for bad in ([], prefix[:15], prefix + [0], [0] * 1000):
     raises(ValueError, module.schedule, bad)
 for bad in (5, None, prefix[:15] + ["x"], "0123456789abcdef", [1.0] * 16):
