@@ -29,18 +29,23 @@
  * `long long` read stays.  An argument outside [0, 2**64) is an
  * OverflowError either way, never truncated.
  *
- * `schedule(prefix)` runs the schedule recurrence of `core._schedule`,
- * the Python spec it is tested against, on the 16-word prefix that
- * `core.expand` lays out, and returns the 64 words as they sit in `w`:
- * 256 bytes of native uint32 words, with no Python int made per word.
- * A word outside [0, 2**32) is an OverflowError, never truncated.  The
- * recurrence itself is the inline `schedule()`, for a future whole-block
- * kernel.
+ * `schedule(words, chain, is_last)` takes a block's 14 message words and
+ * its 8-word chain, lays out the 16-word prefix in the inline `prefix()`
+ * (`[h0, M1..M14, h7]`, or `[h0, h7, M1..M14]` for the last block), runs
+ * the recurrence in the inline `schedule()` and returns the 64 words as
+ * they sit in `w`: 256 bytes of native uint32 words, with no Python int
+ * made per word.  It checks what `core._schedule`, the Python spec it is
+ * tested against, checks, in the same order and with the same messages:
+ * the two counts, then h0, h7 and the message words, each an int in
+ * [0, 2**32) (an OverflowError outside it, never truncated).  Only h0
+ * and h7 of the chain enter the schedule.  `prefix()` and `schedule()`
+ * are inline for a future whole-block kernel.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
 #include <stdint.h>
+#include <string.h>
 
 static const int CHUNK_WIDTHS[] = {6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 4};
 #define NCHUNKS ((int)(sizeof CHUNK_WIDTHS / sizeof CHUNK_WIDTHS[0]))
@@ -67,8 +72,26 @@ pmap(const uint32_t *t, uint64_t x)
     return acc;
 }
 
+#define BLOCK_WORDS 14
+#define CHAIN_WORDS 8
 #define PREFIX_WORDS 16
 #define SCHEDULE_WORDS 64
+
+/* the 16-word prefix of a block: [h0, M1..M14, h7], or [h0, h7, M1..M14]
+ * for the last block, so that its length field ends the prefix */
+static inline void
+prefix(uint32_t w[SCHEDULE_WORDS], const uint32_t m[BLOCK_WORDS],
+       uint32_t h0, uint32_t h7, int is_last)
+{
+    w[0] = h0;
+    if (is_last) {
+        w[1] = h7;
+        memcpy(w + 2, m, BLOCK_WORDS * sizeof m[0]);
+    } else {
+        memcpy(w + 1, m, BLOCK_WORDS * sizeof m[0]);
+        w[PREFIX_WORDS - 1] = h7;
+    }
+}
 
 /* W_j = rotl3(W_{j-16} ^ W_{j-14} ^ W_{j-8} ^ W_{j-1}) past the prefix */
 static inline void
@@ -167,43 +190,72 @@ static PyTypeObject EvaluatorType = {
     .tp_new = Evaluator_new,
 };
 
-static PyObject *
-pmap_schedule(PyObject *Py_UNUSED(module), PyObject *arg)
+/* one schedule word: an int in [0, 2**32), or -1 with the error set */
+static int
+schedule_word(PyObject *item, uint32_t *word)
 {
-    PyObject *seq = PySequence_Fast(arg, "schedule() takes a sequence of ints");
-    if (seq == NULL)
-        return NULL;
-    if (PySequence_Fast_GET_SIZE(seq) != PREFIX_WORDS) {
-        PyErr_Format(PyExc_ValueError, "schedule() takes %d words, got %zd",
-                     PREFIX_WORDS, PySequence_Fast_GET_SIZE(seq));
-        Py_DECREF(seq);
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v < 0 || v > UINT32_MAX) {
+        PyErr_Format(PyExc_OverflowError, "schedule word %R outside [0, 2**32)", item);
+        return -1;
+    }
+    *word = (uint32_t)v;
+    return 0;
+}
+
+static PyObject *
+pmap_schedule(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "schedule() takes 3 arguments (words, chain, is_last), got %zd", nargs);
         return NULL;
     }
-    uint32_t w[SCHEDULE_WORDS];
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (int j = 0; j < PREFIX_WORDS; j++) {
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(items[j], &overflow);
-        if (v == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        if (overflow || v < 0 || v > UINT32_MAX) {
-            PyErr_Format(PyExc_OverflowError,
-                         "schedule word %R outside [0, 2**32)", items[j]);
-            Py_DECREF(seq);
-            return NULL;
-        }
-        w[j] = (uint32_t)v;
+    PyObject *words = PySequence_Fast(args[0], "schedule() takes sequences of ints");
+    if (words == NULL)
+        return NULL;
+    PyObject *chain = PySequence_Fast(args[1], "schedule() takes sequences of ints");
+    if (chain == NULL) {
+        Py_DECREF(words);
+        return NULL;
     }
-    Py_DECREF(seq);
+    PyObject *result = NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(words), k = PySequence_Fast_GET_SIZE(chain);
+    if (n != BLOCK_WORDS) {
+        PyErr_Format(PyExc_ValueError, "a block holds exactly %d words, got %zd",
+                     BLOCK_WORDS, n);
+        goto done;
+    }
+    if (k != CHAIN_WORDS) {
+        PyErr_Format(PyExc_ValueError, "a chain holds exactly %d words, got %zd",
+                     CHAIN_WORDS, k);
+        goto done;
+    }
+    uint32_t m[BLOCK_WORDS], h0, h7, w[SCHEDULE_WORDS];
+    PyObject **h = PySequence_Fast_ITEMS(chain), **items = PySequence_Fast_ITEMS(words);
+    if (schedule_word(h[0], &h0) < 0 || schedule_word(h[CHAIN_WORDS - 1], &h7) < 0)
+        goto done;
+    for (int j = 0; j < BLOCK_WORDS; j++)
+        if (schedule_word(items[j], &m[j]) < 0)
+            goto done;
+    int is_last = PyObject_IsTrue(args[2]);
+    if (is_last < 0)
+        goto done;
+    prefix(w, m, h0, h7, is_last);
     schedule(w);
-    return PyBytes_FromStringAndSize((const char *)w, sizeof w);
+    result = PyBytes_FromStringAndSize((const char *)w, sizeof w);
+done:
+    Py_DECREF(words);
+    Py_DECREF(chain);
+    return result;
 }
 
 static PyMethodDef pmap_methods[] = {
-    {"schedule", pmap_schedule, METH_O,
-     "schedule(prefix) -> the 64 schedule words of a 16-word prefix, as bytes"},
+    {"schedule", (PyCFunction)(void (*)(void))pmap_schedule, METH_FASTCALL,
+     "schedule(words, chain, is_last) -> the 64 schedule words of a block, as bytes"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -22,7 +22,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
 
 from . import core
 from .core import (
@@ -210,18 +209,21 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     message word share a weight: one ``core.expand`` call per message
     word, on the unit block of `UNIT_BLOCKS` holding just a 1 there,
     gives all 448.  Flip i lies in byte ``i // 8``, which is in word
-    ``i // 32``.  A schedule's weight is the bit count of its first
-    ``rounds`` words read as one int: one call per schedule, not one
-    per word.
+    ``i // 32``.  A schedule's weight is the bit count of the bytes of
+    its first ``rounds`` words (from the view's ``.obj``) read as one
+    int: one call per schedule, not one per word.
     """
     check_rounds(rounds)
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
-    word_weights = [int.from_bytes(core.expand(unit, (0,) * 8, rule == "last")[:rounds],
+    size = 4 * rounds
+    word_weights = [int.from_bytes(core.expand(unit, (0,) * 8, rule == "last").obj[:size],
                                    "little").bit_count()
                     for unit in UNIT_BLOCKS]
-    weights = tuple(chain.from_iterable([weight] * 32 for weight in word_weights))
-    return DiffusionReport(rounds=rounds, rule=rule, per_position_weights=weights,
+    weights = []
+    for weight in word_weights:
+        weights += [weight] * 32
+    return DiffusionReport(rounds=rounds, rule=rule, per_position_weights=tuple(weights),
                            min_weight=min(word_weights), max_weight=max(word_weights))
 
 

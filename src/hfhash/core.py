@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import numbers
+import operator
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -217,46 +218,59 @@ def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False
     """Build the 64-word schedule for the 14 message words of one block,
     as a read-only view of 64 native uint32 words (format ``"I"``).  It
     indexes, slices and iterates as ints, compares by value, and
-    ``.tolist()`` makes the ints once where a caller needs them all.
+    ``.tolist()`` makes the ints once where a caller needs them all; its
+    ``.obj`` is the 256 bytes themselves.
+
+    The schedule runs in the native ``_pmap.schedule`` when the extension
+    loads (looked up on every call, so a test that disables it runs
+    Python), otherwise in `_schedule`, its spec, which says how the
+    prefix is laid out and what raises; both engines lay it out, check
+    the same things and give the same 256 bytes.  The recurrence is XOR
+    and one fixed rotation, so rotating every input word by p rotates
+    every schedule word by p; `analysis.diffusion` relies on that.
+    """
+    pmap = evaluator._load_pmap()[0]
+    schedule = _schedule if pmap is None else pmap.schedule
+    return memoryview(schedule(words, chain, is_last)).cast("I")
+
+
+def _schedule(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool) -> bytes:
+    """The 64 schedule words of one block, in Python, as the 256 bytes of
+    native uint32 words that ``_pmap.schedule`` returns.
 
     Ordinary blocks interleave the chain as W_0 and W_15 around the
     message words; the final padded block (`is_last`) moves both chain
     words to the front so the encoded message length stays at the very
     end of the 16-word prefix.  That is the "shifted" last-block map,
     the only one that runs; `Hasher` refuses the "literal" one before
-    any block.  Any other number of words than 14 raises ValueError.
+    any block.  Then W_j = rotl3(W_{j-16} ^ W_{j-14} ^ W_{j-8} ^ W_{j-1}).
 
-    The recurrence runs in the native ``_pmap.schedule`` when the
-    extension loads (looked up on every call, so a test that disables
-    it runs Python), otherwise in `_schedule`, its spec; both give the
-    same 256 bytes.  Input words are 32-bit ints; either engine raises
-    OverflowError for one outside ``[0, 2**32)``.  The recurrence is
-    XOR and one fixed rotation, so rotating every input word by p
-    rotates every schedule word by p; `analysis.diffusion` relies on
-    that.
+    A block of other than 14 words, or a chain of other than 8, raises
+    ValueError.  Only h0 and h7 of the chain are read; they and then the
+    message words must be ints in ``[0, 2**32)``: TypeError for one that
+    is not an int, OverflowError for one outside the range.
     """
+    try:
+        words, chain = tuple(words), tuple(chain)
+    except TypeError:
+        raise TypeError("schedule() takes sequences of ints") from None
     if len(words) != WORDS_PER_BLOCK:
         raise ValueError(f"a block holds exactly {WORDS_PER_BLOCK} words, got {len(words)}")
-    if is_last:
-        prefix = [chain[0], chain[7], *words]
-    else:
-        prefix = [chain[0], *words, chain[7]]
-    pmap = evaluator._load_pmap()[0]
-    return memoryview(pmap.schedule(prefix) if pmap is not None else _schedule(prefix)).cast("I")
-
-
-def _schedule(prefix: list[int]) -> bytes:
-    """The 64 schedule words of a 16-word prefix, in Python:
-    W_j = rotl3(W_{j-16} ^ W_{j-14} ^ W_{j-8} ^ W_{j-1}), as the 256
-    bytes of native uint32 words that ``_pmap.schedule`` returns."""
-    if min(prefix) < 0 or max(prefix) > MASK32:
-        bad = next(x for x in prefix if not 0 <= x <= MASK32)
-        raise OverflowError(f"schedule word {bad!r} outside [0, 2**32)")
-    w = prefix + [0] * (SCHEDULE_LEN - 16)
+    if len(chain) != len(IV):
+        raise ValueError(f"a chain holds exactly {len(IV)} words, got {len(chain)}")
+    h0, h7, *m = map(_schedule_word, (chain[0], chain[7], *words))
+    w = [h0, h7, *m] if is_last else [h0, *m, h7]
     for j in range(16, SCHEDULE_LEN):
         x = w[j - 16] ^ w[j - 14] ^ w[j - 8] ^ w[j - 1]
-        w[j] = ((x << 3) | (x >> 29)) & MASK32
+        w.append(((x << 3) | (x >> 29)) & MASK32)
     return array("I", w).tobytes()
+
+
+def _schedule_word(x) -> int:
+    v = operator.index(x)
+    if not 0 <= v <= MASK32:
+        raise OverflowError(f"schedule word {x!r} outside [0, 2**32)")
+    return v
 
 
 def compress(chain: tuple[int, ...], words: tuple[int, ...], params: HfParams,

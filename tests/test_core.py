@@ -309,28 +309,64 @@ def test_out_of_range_words_overflow_on_both_engines(schedule_engine, word):
 
 def test_block_needs_14_words(monkeypatch):
     # a 13-word block would fail inside the Python spec with IndexError,
-    # and a 15-word one would yield 65 words, so `expand` checks the count
+    # a 15-word one would yield 65 words, and a chain of other than 8
+    # words has no h7 or an ignored tail, so both engines check both counts
+    zero = HfParams(system=ZeroSystem())
     for disabled in (False, True):
         if disabled:
             _disable_native(monkeypatch)
-        for n in (0, 13, 15, 16):
-            for is_last in (False, True):
+        for is_last in (False, True):
+            for n in (0, 13, 15, 16):
                 with pytest.raises(ValueError, match=f"exactly 14 words, got {n}"):
                     expand((0,) * n, IV, is_last)
+            for n in (0, 2, 7, 9):
+                with pytest.raises(ValueError, match=f"a chain holds exactly 8 words, got {n}"):
+                    expand((0,) * 14, (0,) * n, is_last)
+                with pytest.raises(ValueError, match=f"a chain holds exactly 8 words, got {n}"):
+                    compress((0,) * n, (0,) * 14, zero, is_last)
 
 
 words32 = st.one_of(st.sampled_from([0, MASK32]), st.integers(0, MASK32))
+outside32 = st.one_of(st.integers(max_value=-1), st.integers(min_value=MASK32 + 1))
+
+
+def _raised(call, *args):
+    """The type and message of the error `call(*args)` raises."""
+    try:
+        call(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{call.__name__}{args} raised nothing")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(words32, min_size=16, max_size=16))
-def test_native_schedule_matches_python(prefix):
+@given(st.tuples(*[words32] * 14), st.tuples(*[words32] * 8), st.booleans(),
+       st.integers(0, 13), st.sampled_from([1.0, "1", None, b"\0"]), outside32)
+def test_native_schedule_matches_python(words, chain, is_last, at, not_int, outside):
     schedule = _native_schedule()
-    want = core._schedule(list(prefix))
-    words = memoryview(want).cast("I").tolist()
-    assert len(words) == 64 and words[:16] == prefix
-    assert schedule(prefix) == want
-    assert schedule(tuple(prefix)) == want
+    want = core._schedule(words, chain, is_last)
+    ints = memoryview(want).cast("I").tolist()
+    h0, h7 = chain[0], chain[7]
+    assert len(ints) == 64
+    assert ints[:16] == ([h0, h7, *words] if is_last else [h0, *words, h7])
+    assert schedule(words, chain, is_last) == want
+    assert schedule(list(words), list(chain), is_last) == want
+    # either engine raises the same error with the same message
+    def put(seq, i, x):
+        return seq[:i] + (x,) + seq[i + 1:]
+
+    bad = [
+        (put(words, at, not_int), chain), (words, put(chain, 7 * (at % 2), not_int)),
+        (None, chain), (words, 5),
+        (words[:at], chain), (words + (0,), chain), (words, chain[:at % 8]),
+        (words, chain + (0,)),
+        (put(words, at, outside), chain), (words, put(chain, 7 * (at % 2), outside)),
+    ]
+    for args in bad:
+        got = _raised(schedule, *args, is_last)
+        assert got == _raised(core._schedule, *args, is_last)
+        if got[0] is OverflowError:
+            assert got[1] == f"schedule word {outside!r} outside [0, 2**32)"
 
 
 @pytest.mark.parametrize("engine", ["native", "python"])
@@ -343,8 +379,7 @@ def test_expand_is_a_read_only_view_of_the_native_words(engine, words, chain, is
         else:
             _disable_native(m)
         w = expand(words, chain, is_last)
-    prefix = [chain[0], chain[7], *words] if is_last else [chain[0], *words, chain[7]]
-    assert bytes(w) == core._schedule(prefix)
+    assert bytes(w) == core._schedule(words, chain, is_last)
     assert isinstance(w, memoryview) and w.readonly
     assert (len(w), w.format, w.itemsize, w.nbytes) == (64, "I", 4, 256)
     with pytest.raises(TypeError):
@@ -357,17 +392,6 @@ def test_expand_is_a_read_only_view_of_the_native_words(engine, words, chain, is
     for rounds in (32, 48, 64):
         assert (int.from_bytes(w[:rounds], "little").bit_count()
                 == sum(x.bit_count() for x in ints[:rounds]))
-
-
-def test_native_schedule_takes_exactly_16_words():
-    schedule = _native_schedule()
-    for n in (0, 15, 17):
-        with pytest.raises(ValueError, match=f"16 words, got {n}"):
-            schedule([0] * n)
-    with pytest.raises(TypeError):
-        schedule(None)
-    with pytest.raises(TypeError):
-        schedule([0.0] * 16)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,19 @@ def test_each_diffusion_report_expands_the_unit_blocks_through_core(monkeypatch,
         assert len(expanded) == 14
         assert expanded == [(unit, (0,) * 8, rule == "last") for unit in analysis.UNIT_BLOCKS]
 
+
+
+@pytest.mark.parametrize("rounds", [32, 48, 64])
+@pytest.mark.parametrize("is_last", [False, True], ids=["non-last", "last"])
+def test_compress_expands_each_block_once_through_core(params, monkeypatch, rounds, is_last):
+    # the hash path's `core.expand` span sees a block only if `compress`
+    # looks `expand` up on the module, once per block
+    expanded = _record(monkeypatch, "expand")
+    rng = random.Random(rounds)
+    chain = tuple(rng.getrandbits(32) for _ in range(8))
+    words = tuple(rng.getrandbits(32) for _ in range(14))
+    core.compress(chain, words, replace(params, rounds=rounds), is_last)
+    assert expanded == [(words, chain, is_last)]
 
 # --- the round contract: a traced run checks eval_word calls == 2 x rounds x compress calls
 

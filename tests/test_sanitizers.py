@@ -96,21 +96,41 @@ assert keeper.eval_word(2**64 - 1) == ev(2**64 - 1)
 del keeper
 held.extend(b"\\0")
 
-# schedule: exactly 16 ints in [0, 2**32)
-prefix = [random.Random(k).getrandbits(32) for k in range(16)]
-assert module.schedule(prefix) == core._schedule(prefix)
-assert module.schedule(iter(prefix)) == core._schedule(prefix)
-assert module.schedule([0] * 16) == bytes(256)
-assert module.schedule([2**32 - 1] * 16) == core._schedule([2**32 - 1] * 16)
-for word in (0, 2**32 - 1):
-    words = module.schedule([word] * 16)
-    assert type(words) is bytes and len(words) == 256
-for bad in ([], prefix[:15], prefix + [0], [0] * 1000):
-    raises(ValueError, module.schedule, bad)
-for bad in (5, None, prefix[:15] + ["x"], "0123456789abcdef", [1.0] * 16):
-    raises(TypeError, module.schedule, bad)
-for word in (-1, 2**32, 2**63, 2**64, 2**200, -(2**200)):
-    raises(OverflowError, module.schedule, prefix[:15] + [word])
+# schedule: 14 words and an 8-word chain, of which h0 and h7 are read,
+# each an int in [0, 2**32), under either rule
+rng = random.Random(0)
+block = [rng.getrandbits(32) for _ in range(14)]
+chain = [rng.getrandbits(32) for _ in range(8)]
+for is_last in (False, True):
+    want = core._schedule(block, chain, is_last)
+    assert module.schedule(block, chain, is_last) == want
+    assert module.schedule(tuple(block), tuple(chain), is_last) == want
+    assert module.schedule([0] * 14, [0] * 8, is_last) == bytes(256)
+    ones = module.schedule([2**32 - 1] * 14, [2**32 - 1] * 8, is_last)
+    assert ones == core._schedule([2**32 - 1] * 14, [2**32 - 1] * 8, is_last)
+    assert type(ones) is bytes and len(ones) == 256
+    for bad in ([], block[:13], block + [0], [0] * 1000):
+        raises(ValueError, module.schedule, bad, chain, is_last)
+    for bad in ([], chain[:2], chain[:7], chain + [0]):
+        raises(ValueError, module.schedule, block, bad, is_last)
+    for bad in (5, None, block[:13] + ["x"], "0123456789abcd", [1.0] * 14):
+        raises(TypeError, module.schedule, bad, chain, is_last)
+    for bad in (5, None, [None] + chain[1:], chain[:7] + [1.0]):
+        raises(TypeError, module.schedule, block, bad, is_last)
+    for word in (-1, 2**32, 2**63, 2**64, 2**200, -(2**200)):
+        raises(OverflowError, module.schedule, block[:13] + [word], chain, is_last)
+        raises(OverflowError, module.schedule, block, [word] + chain[1:], is_last)
+        raises(OverflowError, module.schedule, block, chain[:7] + [word], is_last)
+raises(TypeError, module.schedule, block, chain)
+raises(TypeError, module.schedule, block, chain, False, None)
+
+
+class Undecided:
+    def __bool__(self):
+        raise RuntimeError("no truth value")
+
+
+raises(RuntimeError, module.schedule, block, chain, Undecided())
 print("ok")
 """
 
