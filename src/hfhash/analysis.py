@@ -145,8 +145,10 @@ def avalanche(message: bytes = DEFAULT_AVALANCHE_INPUT,
               params: HfParams | None = None) -> AvalancheReport:
     """Hash ``message`` and each of its 448 one-bit variants.
 
-    The message must be exactly one block (56 bytes).  Flip position i
-    (1-based) toggles bit ``7 - (i-1) % 8`` of byte ``(i-1) // 8``.
+    The message must be exactly one block (56 bytes), of any bytes-like
+    type; the report keeps a ``bytes`` copy, so editing the caller's
+    buffer later changes no report.  Flip position i (1-based) toggles
+    bit ``7 - (i-1) % 8`` of byte ``(i-1) // 8``.
     """
     if len(message) != BLOCK_BYTES:
         raise ValueError(f"avalanche input must be exactly {BLOCK_BYTES} "
@@ -154,6 +156,7 @@ def avalanche(message: bytes = DEFAULT_AVALANCHE_INPUT,
     if params is None:
         params = default_params()
     base = hash_bytes(message, params)
+    message = bytes(message)
     flips = []
     for i in range(BLOCK_BITS):
         flipped = bytearray(message)
@@ -210,14 +213,14 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     word, on the unit block of `UNIT_BLOCKS` holding just a 1 there,
     gives all 448.  Flip i lies in byte ``i // 8``, which is in word
     ``i // 32``.  A schedule's weight is the bit count of the bytes of
-    its first ``rounds`` words (from the view's ``.obj``) read as one
-    int: one call per schedule, not one per word.
+    its first ``rounds`` words, sliced from `expand`'s bytes and read as
+    one int: one call per schedule, not one per word.
     """
     check_rounds(rounds)
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
     size = 4 * rounds
-    word_weights = [int.from_bytes(core.expand(unit, (0,) * 8, rule == "last").obj[:size],
+    word_weights = [int.from_bytes(core.expand(unit, (0,) * 8, rule == "last")[:size],
                                    "little").bit_count()
                     for unit in UNIT_BLOCKS]
     weights = []

@@ -33,6 +33,8 @@ WORDS_PER_BLOCK = 14
 _BLOCK = struct.Struct("<14I")     # one block: 14 little-endian words
 SCHEDULE_LEN = 64
 VALID_ROUNDS = (32, 48, 64)
+# the native uint32 words a round count consumes, from a schedule's front
+_ROUND_WORDS = {rounds: struct.Struct(f"={rounds}I") for rounds in VALID_ROUNDS}
 
 # allowed values of each LayoutConfig field, in field order
 LAYOUT_CHOICES = {
@@ -127,6 +129,8 @@ class HfParams:
 
     def __post_init__(self):
         check_rounds(self.rounds)
+        if not isinstance(self.layout, LayoutConfig):
+            raise TypeError(f"layout must be a LayoutConfig, got {type(self.layout).__name__}")
 
 
 def check_rounds(rounds) -> None:
@@ -214,12 +218,11 @@ def _read_blocks(data):
     return _BLOCK.iter_unpack(view[:len(view) - len(view) % BLOCK_BYTES])
 
 
-def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False) -> memoryview:
+def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False) -> bytes:
     """Build the 64-word schedule for the 14 message words of one block,
-    as a read-only view of 64 native uint32 words (format ``"I"``).  It
-    indexes, slices and iterates as ints, compares by value, and
-    ``.tolist()`` makes the ints once where a caller needs them all; its
-    ``.obj`` is the 256 bytes themselves.
+    as the 256 bytes of its 64 native uint32 words.  A caller reads the
+    words it needs from them in one step, as `compress` does with one
+    ``struct`` unpack and `analysis.diffusion` with one bit count.
 
     The schedule runs in the native ``_pmap.schedule`` when the extension
     loads (looked up on every call, so a test that disables it runs
@@ -231,12 +234,13 @@ def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False
     """
     pmap = evaluator._load_pmap()[0]
     schedule = _schedule if pmap is None else pmap.schedule
-    return memoryview(schedule(words, chain, is_last)).cast("I")
+    return schedule(words, chain, is_last)
 
 
 def _schedule(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool) -> bytes:
-    """The 64 schedule words of one block, in Python, as the 256 bytes of
-    native uint32 words that ``_pmap.schedule`` returns.
+    """The 64 schedule words of one block, in Python, as the same 256
+    bytes of native uint32 words that ``_pmap.schedule`` returns and
+    `expand` hands out.
 
     Ordinary blocks interleave the chain as W_0 and W_15 around the
     message words; the final padded block (`is_last`) moves both chain
@@ -277,16 +281,18 @@ def compress(chain: tuple[int, ...], words: tuple[int, ...], params: HfParams,
              is_last: bool = False) -> tuple[int, ...]:
     """Expand the 14 words of one block, the final padded block if
     `is_last`, and fold them into the chaining value (no feed-forward).
+    The round count's schedule words become ints in one precompiled
+    ``struct`` unpack of the front of `expand`'s bytes.
 
     Round j, all sums mod 2**32:
         T1 = H1 + H2 + p(H3 || H0) + K_j
         T2 = H4 + H5 + p(H7 || H6) + W_j
         (H0..H7) <- (T1 + T2, H0, H1, H2, (H3 + T1) <<< 5, H4, H5, H6)
     """
-    w = expand(words, chain, is_last)
+    w = _ROUND_WORDS[params.rounds].unpack_from(expand(words, chain, is_last))
     ev = params.system.eval_word
     h0, h1, h2, h3, h4, h5, h6, h7 = chain
-    for wj, kj in zip(w[:params.rounds].tolist(), ROUND_CONSTANTS):
+    for wj, kj in zip(w, ROUND_CONSTANTS):
         # T1 and T2 stay unreduced: every later use of them is taken mod
         # 2**32, so only the two new words are reduced.  The state shifts
         # three words at a time, which CPython does without a tuple.

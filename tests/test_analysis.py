@@ -25,6 +25,7 @@ from hfhash.core import (
 )
 from hfhash.evaluator import TermSumEvaluator, compile_system
 from hfhash.system import load_system
+from test_core import schedule_words
 
 
 def test_default_input_is_one_block():
@@ -94,6 +95,19 @@ def test_avalanche_serializations(report):
     assert "within 128+/- 5" in text
 
 
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_avalanche_keeps_no_reference_to_the_callers_buffer(params, report, wrap):
+    buffer = wrap(DEFAULT_AVALANCHE_INPUT)
+    kept = avalanche(buffer, params)
+    before = (kept.to_dict(), kept.format_text())
+    buffer[0] ^= 0xFF
+    assert kept == report
+    assert type(kept.message) is bytes and kept.message == DEFAULT_AVALANCHE_INPUT
+    assert (kept.to_dict(), kept.format_text()) == before
+    assert hash(kept) == hash(report)
+
+
 def test_mode_ties_break_toward_smaller():
     assert DistanceSummary.of([3, 3, 9, 9, 5]).mode == 3
 
@@ -118,7 +132,7 @@ def diffusion_weights_spec(rounds, rule):
     for i in range(448):
         buf = bytearray(56)
         buf[i // 8] ^= 1 << (7 - i % 8)
-        w = expand(struct.unpack("<14I", buf), (0,) * 8, rule == "last")
+        w = schedule_words(expand(struct.unpack("<14I", buf), (0,) * 8, rule == "last"))
         weights.append(sum(bin(x).count("1") for x in w[:rounds]))
     return weights
 
@@ -178,8 +192,8 @@ def test_low_weight_schedule_difference():
         for _ in range(8)]
     for message, chain in bases:
         flipped = bytes(a ^ b for a, b in zip(message, LOW_WEIGHT_DIFFERENCE))
-        base = expand(struct.unpack("<14I", message), chain)
-        other = expand(struct.unpack("<14I", flipped), chain)
+        base = schedule_words(expand(struct.unpack("<14I", message), chain))
+        other = schedule_words(expand(struct.unpack("<14I", flipped), chain))
         weights = [bin(a ^ b).count("1") for a, b in zip(base, other)]
         assert (sum(weights[:32]), sum(weights[:48]), sum(weights)) == (18, 22, 29)
 
@@ -227,8 +241,8 @@ def test_diffusion_matches_two_full_expansions():
         message = bytearray(rng.randbytes(56))
         flipped = bytearray(message)
         flipped[position // 8] ^= 1 << (7 - position % 8)
-        base = expand(parse_blocks(bytes(message))[0], chain)
-        other = expand(parse_blocks(bytes(flipped))[0], chain)
+        base = schedule_words(expand(parse_blocks(bytes(message))[0], chain))
+        other = schedule_words(expand(parse_blocks(bytes(flipped))[0], chain))
         weight = sum(bin(a ^ b).count("1") for a, b in zip(base, other))
         assert weight == report.per_position_weights[position]
 

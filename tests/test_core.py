@@ -61,6 +61,11 @@ def rotl32(x, n):
     return ((x << n) | (x >> (32 - n))) & MASK32
 
 
+def schedule_words(schedule):
+    """`expand`'s 256 bytes read as the list of its 64 native uint32 words."""
+    return list(struct.unpack("=64I", schedule))
+
+
 def round_step(state, w, k, system):
     """The paper's round, transcribed: the spec `compress` is checked against."""
     h0, h1, h2, h3, h4, h5, h6, h7 = state
@@ -181,14 +186,14 @@ def test_parse_rejects_partial_block():
 # --- schedule expansion ----------------------------------------------------
 
 def test_zero_everything_expands_to_zero():
-    assert expand((0,) * 14, (0,) * 8).tolist() == [0] * 64
+    assert schedule_words(expand((0,) * 14, (0,) * 8)) == [0] * 64
 
 
 def test_non_last_prefix_layout():
     rng = random.Random(1)
     words = tuple(rng.getrandbits(32) for _ in range(14))
     chain = tuple(rng.getrandbits(32) for _ in range(8))
-    w = expand(words, chain)
+    w = schedule_words(expand(words, chain))
     assert w[0] == chain[0]
     assert tuple(w[1:15]) == words
     assert w[15] == chain[7]
@@ -198,7 +203,7 @@ def test_last_block_prefix_is_shifted():
     rng = random.Random(2)
     words = tuple(rng.getrandbits(32) for _ in range(14))
     chain = tuple(rng.getrandbits(32) for _ in range(8))
-    w = expand(words, chain, True)
+    w = schedule_words(expand(words, chain, True))
     assert w[0] == chain[0]
     assert w[1] == chain[7]
     assert tuple(w[2:16]) == words
@@ -233,7 +238,7 @@ def test_recurrence_holds_throughout():
     rng = random.Random(3)
     words = tuple(rng.getrandbits(32) for _ in range(14))
     chain = tuple(rng.getrandbits(32) for _ in range(8))
-    w = expand(words, chain)
+    w = schedule_words(expand(words, chain))
     for j in range(16, 64):
         assert w[j] == rotl32(w[j - 16] ^ w[j - 14] ^ w[j - 8] ^ w[j - 1], 3)
 
@@ -249,8 +254,8 @@ def test_schedule_difference_ignores_context():
         chain = tuple(rng.getrandbits(32) for _ in range(8))
         flipped = list(words)
         flipped[flip_word] ^= 1 << flip_bit
-        a = expand(tuple(words), chain)
-        b = expand(tuple(flipped), chain)
+        a = schedule_words(expand(tuple(words), chain))
+        b = schedule_words(expand(tuple(flipped), chain))
         diff = tuple(x ^ y for x, y in zip(a, b))
         if reference is None:
             reference = diff
@@ -266,11 +271,11 @@ def test_rotating_every_input_word_rotates_the_schedule(is_last):
         words = tuple(rng.getrandbits(32) for _ in range(14))
         chain = tuple(rng.getrandbits(32) for _ in range(8))
         p = rng.randrange(1, 32)
-        w = expand(words, chain, is_last)
-        rotated = expand(tuple(rotl32(x, p) for x in words),
-                         tuple(rotl32(x, p) for x in chain), is_last)
+        w = schedule_words(expand(words, chain, is_last))
+        rotated = schedule_words(expand(tuple(rotl32(x, p) for x in words),
+                                        tuple(rotl32(x, p) for x in chain), is_last))
         assert len(rotated) == 64
-        assert rotated.tolist() == [rotl32(x, p) for x in w]
+        assert rotated == [rotl32(x, p) for x in w]
 
 
 def _native_schedule():
@@ -345,7 +350,7 @@ def _raised(call, *args):
 def test_native_schedule_matches_python(words, chain, is_last, at, not_int, outside):
     schedule = _native_schedule()
     want = core._schedule(words, chain, is_last)
-    ints = memoryview(want).cast("I").tolist()
+    ints = schedule_words(want)
     h0, h7 = chain[0], chain[7]
     assert len(ints) == 64
     assert ints[:16] == ([h0, h7, *words] if is_last else [h0, *words, h7])
@@ -372,26 +377,22 @@ def test_native_schedule_matches_python(words, chain, is_last, at, not_int, outs
 @pytest.mark.parametrize("engine", ["native", "python"])
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(*[words32] * 14), st.tuples(*[words32] * 8), st.booleans())
-def test_expand_is_a_read_only_view_of_the_native_words(engine, words, chain, is_last):
+def test_expand_is_the_256_bytes_of_the_native_words(engine, words, chain, is_last):
     with pytest.MonkeyPatch.context() as m:
         if engine == "native":
             _native_schedule()
         else:
             _disable_native(m)
         w = expand(words, chain, is_last)
-    assert bytes(w) == core._schedule(words, chain, is_last)
-    assert isinstance(w, memoryview) and w.readonly
-    assert (len(w), w.format, w.itemsize, w.nbytes) == (64, "I", 4, 256)
-    with pytest.raises(TypeError):
-        w[0] = 0
-    ints = w.tolist()
-    assert all(type(x) is int for x in ints)
+    assert type(w) is bytes and len(w) == 256
+    assert w == core._schedule(words, chain, is_last)
+    ints = schedule_words(w)
     for j in range(16, 64):
         assert ints[j] == rotl32(ints[j - 16] ^ ints[j - 14] ^ ints[j - 8] ^ ints[j - 1], 3)
     # `analysis.diffusion` weighs a schedule as one int
-    for rounds in (32, 48, 64):
-        assert (int.from_bytes(w[:rounds], "little").bit_count()
-                == sum(x.bit_count() for x in ints[:rounds]))
+    for r in (32, 48, 64):
+        assert (int.from_bytes(w[:4 * r], "little").bit_count()
+                == sum(x.bit_count() for x in ints[:r]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -452,7 +453,8 @@ def test_compress_is_the_spec_rounds(params, rounds, is_last):
     for system, chain, words in cases:
         p = HfParams(system=system, rounds=rounds)
         state = chain
-        for w, k in zip(expand(words, chain, is_last)[:rounds], ROUND_CONSTANTS):
+        for w, k in zip(schedule_words(expand(words, chain, is_last))[:rounds],
+                        ROUND_CONSTANTS):
             state = round_step(state, w, k, system)
         out = compress(chain, words, p, is_last)
         assert out == state
@@ -502,6 +504,10 @@ def test_digest_formatting(params):
 def test_params_validation(compiled):
     with pytest.raises(ValueError, match="rounds"):
         HfParams(system=compiled, rounds=33)
+    # a layout of another type would fail only at the first hash
+    for layout, name in (("shifted", "str"), (None, "NoneType"), ({}, "dict")):
+        with pytest.raises(TypeError, match=f"layout must be a LayoutConfig, got {name}"):
+            HfParams(system=compiled, layout=layout)
 
 
 @pytest.mark.parametrize("rounds", [64.0, 48.0], ids=repr)

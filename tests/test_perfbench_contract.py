@@ -11,7 +11,7 @@ from hfhash import analysis, core
 from hfhash.core import ROUND_CONSTANTS, HfParams, expand, pad, parse_blocks
 from hfhash.evaluator import TermSumEvaluator
 from hfhash.system import load_default_system
-from test_core import empty_interleaved, in_chunks, round_step
+from test_core import empty_interleaved, in_chunks, round_step, schedule_words
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 CHUNK = 1 << 16     # the stream-long workload's chunk size
@@ -163,7 +163,7 @@ def test_compress_calls_eval_word_twice_per_round_in_order(rounds):
     core.compress(chain, words, HfParams(system=recorder, rounds=rounds))
     expected = []
     state, spec = chain, _RecordingSystem()
-    for w, k in zip(expand(words, chain)[:rounds], ROUND_CONSTANTS):
+    for w, k in zip(schedule_words(expand(words, chain))[:rounds], ROUND_CONSTANTS):
         h0, _, _, h3, _, _, h6, h7 = state
         expected += [h3 << 32 | h0, h7 << 32 | h6]
         state = round_step(state, w, k, spec)

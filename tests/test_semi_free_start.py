@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from hfhash.core import MASK32, ROUND_CONSTANTS, compress, expand
 from hfhash.evaluator import TermSumEvaluator
+from test_core import schedule_words
 
 C = (0xFC046219, 0xB17BA776, 0x2128174D, 0x000559C3,
      0xB7F34A69, 0x91B7584A, 0x000151F9, 0x0026BA4B)
@@ -35,7 +36,7 @@ def _state_after(chain, block, eval_word, rounds, is_last=False):
     """The state after the first `rounds` rounds, transcribed from
     `compress`'s docstring."""
     h = chain
-    for wj, kj in zip(expand(block, chain, is_last)[:rounds], ROUND_CONSTANTS):
+    for wj, kj in zip(schedule_words(expand(block, chain, is_last))[:rounds], ROUND_CONSTANTS):
         h0, h1, h2, h3, h4, h5, h6, h7 = h
         t1 = h1 + h2 + eval_word((h3 << 32) | h0) + kj
         t2 = h4 + h5 + eval_word((h7 << 32) | h6) + wj
