@@ -145,18 +145,20 @@ def avalanche(message: bytes = DEFAULT_AVALANCHE_INPUT,
               params: HfParams | None = None) -> AvalancheReport:
     """Hash ``message`` and each of its 448 one-bit variants.
 
-    The message must be exactly one block (56 bytes), of any bytes-like
-    type; the report keeps a ``bytes`` copy, so editing the caller's
-    buffer later changes no report.  Flip position i (1-based) toggles
-    bit ``7 - (i-1) % 8`` of byte ``(i-1) // 8``.
+    The message must be exactly one block (56 bytes, counted as
+    `hash_bytes` counts them), of any bytes-like type; ``str`` raises
+    TypeError.  The report keeps a ``bytes`` copy, so editing the
+    caller's buffer later changes no report.  Flip position i (1-based)
+    toggles bit ``7 - (i-1) % 8`` of byte ``(i-1) // 8``.
     """
-    if len(message) != BLOCK_BYTES:
+    view = memoryview(message).cast("B")
+    if len(view) != BLOCK_BYTES:
         raise ValueError(f"avalanche input must be exactly {BLOCK_BYTES} "
-                         f"bytes, got {len(message)}")
+                         f"bytes, got {len(view)}")
+    message = bytes(view)
     if params is None:
         params = default_params()
     base = hash_bytes(message, params)
-    message = bytes(message)
     flips = []
     for i in range(BLOCK_BITS):
         flipped = bytearray(message)

@@ -185,14 +185,16 @@ def decode_length_field(data: bytes, layout: LayoutConfig = CANONICAL_LAYOUT) ->
     return (hi << 32) | lo
 
 
-def pad(message: bytes, layout: LayoutConfig = CANONICAL_LAYOUT) -> bytes:
-    """Append the 1-bit, k zero bits and the 64-bit length.
+def pad(message, layout: LayoutConfig = CANONICAL_LAYOUT) -> bytes:
+    """Append the 1-bit, k zero bits and the 64-bit length to the bytes
+    of a bytes-like message; ``str`` raises TypeError.
 
     k is the least nonnegative solution of k + l = 383 (mod 448); for
     byte-aligned messages k = 7 (mod 8), so the appended bits always
     form whole bytes and the result length is a multiple of 56 bytes.
     """
-    return message + _pad_tail(8 * len(message), layout)
+    view = memoryview(message).cast("B")
+    return bytes(view) + _pad_tail(8 * len(view), layout)
 
 
 def _pad_tail(bit_length: int, layout: LayoutConfig) -> bytes:
@@ -280,24 +282,35 @@ def _schedule_word(x) -> int:
 def compress(chain: tuple[int, ...], words: tuple[int, ...], params: HfParams,
              is_last: bool = False) -> tuple[int, ...]:
     """Expand the 14 words of one block, the final padded block if
-    `is_last`, and fold them into the chaining value (no feed-forward).
-    The round count's schedule words become ints in one precompiled
-    ``struct`` unpack of the front of `expand`'s bytes.
+    `is_last`, and fold them into the chaining value (no feed-forward):
+    `_rounds` runs one round per schedule word of the round count, which
+    become ints in one precompiled ``struct`` unpack of the front of
+    `expand`'s bytes.
+    """
+    w = _ROUND_WORDS[params.rounds].unpack_from(expand(words, chain, is_last))
+    return _rounds(chain, w, params.system.eval_word)
+
+
+def _rounds(chain: tuple[int, ...], round_words, eval_word) -> tuple[int, ...]:
+    """The state after one round per word of `round_words`, from `chain`:
+    round j pairs W_j with K_j.  It takes 0 to 64 words, so it also runs
+    the reduced rounds that `HfParams` does not allow; more than 64 is a
+    ValueError, where the 64 constants would cut them off.
 
     Round j, all sums mod 2**32:
         T1 = H1 + H2 + p(H3 || H0) + K_j
         T2 = H4 + H5 + p(H7 || H6) + W_j
         (H0..H7) <- (T1 + T2, H0, H1, H2, (H3 + T1) <<< 5, H4, H5, H6)
     """
-    w = _ROUND_WORDS[params.rounds].unpack_from(expand(words, chain, is_last))
-    ev = params.system.eval_word
+    if len(round_words) > SCHEDULE_LEN:
+        raise ValueError(f"at most {SCHEDULE_LEN} round words, got {len(round_words)}")
     h0, h1, h2, h3, h4, h5, h6, h7 = chain
-    for wj, kj in zip(w, ROUND_CONSTANTS):
+    for wj, kj in zip(round_words, ROUND_CONSTANTS):
         # T1 and T2 stay unreduced: every later use of them is taken mod
         # 2**32, so only the two new words are reduced.  The state shifts
         # three words at a time, which CPython does without a tuple.
-        t1 = h1 + h2 + ev((h3 << 32) | h0) + kj
-        t2 = h4 + h5 + ev((h7 << 32) | h6) + wj
+        t1 = h1 + h2 + eval_word((h3 << 32) | h0) + kj
+        t2 = h4 + h5 + eval_word((h7 << 32) | h6) + wj
         x = (h3 + t1) & MASK32
         h1, h2, h3 = h0, h1, h2
         h5, h6, h7 = h4, h5, h6

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hfhash.core import (
     HfParams,
     expand,
     hash_bytes,
+    pad,
     parse_blocks,
 )
 from hfhash.evaluator import TermSumEvaluator, compile_system
@@ -106,6 +108,17 @@ def test_avalanche_keeps_no_reference_to_the_callers_buffer(params, report, wrap
     assert type(kept.message) is bytes and kept.message == DEFAULT_AVALANCHE_INPUT
     assert (kept.to_dict(), kept.format_text()) == before
     assert hash(kept) == hash(report)
+
+
+def test_avalanche_and_pad_count_bytes_not_items(params, report):
+    # an array("I") of 14 words is the 56 bytes `hash_bytes` hashes
+    words = array("I", DEFAULT_AVALANCHE_INPUT)
+    assert len(words) == 14
+    assert avalanche(words, params) == report
+    assert pad(memoryview(b"a")) == pad(array("B", b"a")) == pad(b"a")
+    for call in (avalanche, pad):
+        with pytest.raises(TypeError):
+            call("x" * 56)
 
 
 def test_mode_ties_break_toward_smaller():

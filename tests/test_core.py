@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hfhash import core, evaluator
 from hfhash.core import (
@@ -459,6 +459,22 @@ def test_compress_is_the_spec_rounds(params, rounds, is_last):
         out = compress(chain, words, p, is_last)
         assert out == state
         assert all(0 <= h <= MASK32 for h in out)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chain=st.tuples(*[st.integers(0, MASK32)] * 8),
+       words=st.tuples(*[st.integers(0, MASK32)] * 14), is_last=st.booleans())
+def test_rounds_runs_every_prefix_of_the_schedule(engine_params, chain, words, is_last):
+    system = engine_params.system
+    w = schedule_words(expand(words, chain, is_last))
+    assert core._rounds(chain, [], system.eval_word) == chain
+    state = chain
+    for r, k in enumerate(ROUND_CONSTANTS, start=1):
+        state = round_step(state, w[r - 1], k, system)
+        assert core._rounds(chain, w[:r], system.eval_word) == state
+    with pytest.raises(ValueError, match="got 65"):
+        core._rounds(chain, w + [0], system.eval_word)
 
 
 # --- compression and hashing -------------------------------------------------
