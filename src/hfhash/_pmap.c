@@ -34,12 +34,13 @@
  * (`[h0, M1..M14, h7]`, or `[h0, h7, M1..M14]` for the last block), runs
  * the recurrence in the inline `schedule()` and returns the 64 words as
  * they sit in `w`: 256 bytes of native uint32 words, with no Python int
- * made per word.  It checks what `core._schedule`, the Python spec it is
- * tested against, checks, in the same order and with the same messages:
- * the two counts, then h0, h7 and the message words, each an int in
- * [0, 2**32) (an OverflowError outside it, never truncated).  Only h0
- * and h7 of the chain enter the schedule.  `prefix()` and `schedule()`
- * are inline for a future whole-block kernel.
+ * made per word.  It computes only what it can read as it stands: a
+ * tuple of 14 ints and a tuple of 8, each in [0, 2**32), and `is_last`
+ * exactly True or False.  For anything else it returns None and
+ * `core.expand` runs `core._schedule`, the Python spec, which alone says
+ * what a block and a chain are and what a bad one raises.  Only h0 and
+ * h7 of the chain enter the schedule.  `prefix()` and `schedule()` are
+ * inline for a future whole-block kernel.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -190,20 +191,19 @@ static PyTypeObject EvaluatorType = {
     .tp_new = Evaluator_new,
 };
 
-/* one schedule word: an int in [0, 2**32), or -1 with the error set */
+/* one schedule word: 1 if `item` is an int in [0, 2**32), else 0; for
+ * an int PyLong_AsLongLongAndOverflow sets no error */
 static int
 schedule_word(PyObject *item, uint32_t *word)
 {
+    if (!PyLong_Check(item))
+        return 0;
     int overflow;
     long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || v < 0 || v > UINT32_MAX) {
-        PyErr_Format(PyExc_OverflowError, "schedule word %R outside [0, 2**32)", item);
-        return -1;
-    }
+    if (overflow || v < 0 || v > UINT32_MAX)
+        return 0;
     *word = (uint32_t)v;
-    return 0;
+    return 1;
 }
 
 static PyObject *
@@ -214,48 +214,26 @@ pmap_schedule(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
                      "schedule() takes 3 arguments (words, chain, is_last), got %zd", nargs);
         return NULL;
     }
-    PyObject *words = PySequence_Fast(args[0], "schedule() takes sequences of ints");
-    if (words == NULL)
-        return NULL;
-    PyObject *chain = PySequence_Fast(args[1], "schedule() takes sequences of ints");
-    if (chain == NULL) {
-        Py_DECREF(words);
-        return NULL;
-    }
-    PyObject *result = NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(words), k = PySequence_Fast_GET_SIZE(chain);
-    if (n != BLOCK_WORDS) {
-        PyErr_Format(PyExc_ValueError, "a block holds exactly %d words, got %zd",
-                     BLOCK_WORDS, n);
-        goto done;
-    }
-    if (k != CHAIN_WORDS) {
-        PyErr_Format(PyExc_ValueError, "a chain holds exactly %d words, got %zd",
-                     CHAIN_WORDS, k);
-        goto done;
-    }
+    PyObject *words = args[0], *chain = args[1], *is_last = args[2];
     uint32_t m[BLOCK_WORDS], h0, h7, w[SCHEDULE_WORDS];
-    PyObject **h = PySequence_Fast_ITEMS(chain), **items = PySequence_Fast_ITEMS(words);
-    if (schedule_word(h[0], &h0) < 0 || schedule_word(h[CHAIN_WORDS - 1], &h7) < 0)
-        goto done;
+    if (!PyTuple_CheckExact(words) || PyTuple_GET_SIZE(words) != BLOCK_WORDS ||
+            !PyTuple_CheckExact(chain) || PyTuple_GET_SIZE(chain) != CHAIN_WORDS ||
+            (is_last != Py_True && is_last != Py_False) ||
+            !schedule_word(PyTuple_GET_ITEM(chain, 0), &h0) ||
+            !schedule_word(PyTuple_GET_ITEM(chain, CHAIN_WORDS - 1), &h7))
+        Py_RETURN_NONE;
     for (int j = 0; j < BLOCK_WORDS; j++)
-        if (schedule_word(items[j], &m[j]) < 0)
-            goto done;
-    int is_last = PyObject_IsTrue(args[2]);
-    if (is_last < 0)
-        goto done;
-    prefix(w, m, h0, h7, is_last);
+        if (!schedule_word(PyTuple_GET_ITEM(words, j), &m[j]))
+            Py_RETURN_NONE;
+    prefix(w, m, h0, h7, is_last == Py_True);
     schedule(w);
-    result = PyBytes_FromStringAndSize((const char *)w, sizeof w);
-done:
-    Py_DECREF(words);
-    Py_DECREF(chain);
-    return result;
+    return PyBytes_FromStringAndSize((const char *)w, sizeof w);
 }
 
 static PyMethodDef pmap_methods[] = {
     {"schedule", (PyCFunction)(void (*)(void))pmap_schedule, METH_FASTCALL,
-     "schedule(words, chain, is_last) -> the 64 schedule words of a block, as bytes"},
+     "schedule(words, chain, is_last) -> the 64 schedule words of a block, as bytes; "
+     "None unless given a tuple of 14 words, one of 8 and a bool"},
     {NULL, NULL, 0, NULL},
 };
 

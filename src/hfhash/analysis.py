@@ -218,7 +218,7 @@ def diffusion(rounds: int = 64, rule: str = "non-last") -> DiffusionReport:
     its first ``rounds`` words, sliced from `expand`'s bytes and read as
     one int: one call per schedule, not one per word.
     """
-    check_rounds(rounds)
+    rounds = check_rounds(rounds)
     if rule not in ("non-last", "last"):
         raise ValueError(f"rule must be 'non-last' or 'last', got {rule!r}")
     size = 4 * rounds

@@ -128,15 +128,17 @@ class HfParams:
     layout: LayoutConfig = field(default_factory=lambda: CANONICAL_LAYOUT)
 
     def __post_init__(self):
-        check_rounds(self.rounds)
+        object.__setattr__(self, "rounds", check_rounds(self.rounds))
         if not isinstance(self.layout, LayoutConfig):
             raise TypeError(f"layout must be a LayoutConfig, got {type(self.layout).__name__}")
 
 
-def check_rounds(rounds) -> None:
-    """Reject a round count outside VALID_ROUNDS; 64.0 is not an integer."""
+def check_rounds(rounds) -> int:
+    """The round count as a plain int; one outside VALID_ROUNDS raises
+    ValueError, and 64.0 is not an integer."""
     if not isinstance(rounds, numbers.Integral) or rounds not in VALID_ROUNDS:
         raise ValueError(f"rounds must be one of {VALID_ROUNDS}")
+    return operator.index(rounds)
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +180,10 @@ def _encode_length(bits: int, layout: LayoutConfig) -> bytes:
 
 
 def decode_length_field(data: bytes, layout: LayoutConfig = CANONICAL_LAYOUT) -> int:
-    """Inverse of the length encoding; `data` is the final 8 padded bytes."""
+    """Inverse of the length encoding; `data` is the final 8 padded bytes,
+    and a field of any other length raises ValueError."""
+    if len(data) != 8:
+        raise ValueError(f"a length field holds exactly 8 bytes, got {len(data)}")
     fmt = "<I" if layout.length_endian == "little" else ">I"
     first, second = struct.unpack(fmt, data[:4])[0], struct.unpack(fmt, data[4:])[0]
     lo, hi = (first, second) if layout.length_half_order == "low-first" else (second, first)
@@ -228,21 +233,26 @@ def expand(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool = False
 
     The schedule runs in the native ``_pmap.schedule`` when the extension
     loads (looked up on every call, so a test that disables it runs
-    Python), otherwise in `_schedule`, its spec, which says how the
-    prefix is laid out and what raises; both engines lay it out, check
-    the same things and give the same 256 bytes.  The recurrence is XOR
-    and one fixed rotation, so rotating every input word by p rotates
-    every schedule word by p; `analysis.diffusion` relies on that.
+    Python) and the input is what every caller in the package passes: a
+    tuple of 14 ints and a tuple of 8, each in ``[0, 2**32)``, and a
+    bool.  It returns None for anything else, and then, as where the
+    extension cannot be built, `_schedule` runs: the spec, which says how
+    the prefix is laid out, what a block and a chain are and what a bad
+    one raises.  So both engines give the same 256 bytes and raise the
+    same errors, and a list or numpy ints run at Python speed.  The
+    recurrence is XOR and one fixed rotation, so rotating every input
+    word by p rotates every schedule word by p; `analysis.diffusion`
+    relies on that.
     """
     pmap = evaluator._load_pmap()[0]
-    schedule = _schedule if pmap is None else pmap.schedule
-    return schedule(words, chain, is_last)
+    w = None if pmap is None else pmap.schedule(words, chain, is_last)
+    return _schedule(words, chain, is_last) if w is None else w
 
 
 def _schedule(words: tuple[int, ...], chain: tuple[int, ...], is_last: bool) -> bytes:
     """The 64 schedule words of one block, in Python, as the same 256
     bytes of native uint32 words that ``_pmap.schedule`` returns and
-    `expand` hands out.
+    `expand` hands out; the one place that checks a block and a chain.
 
     Ordinary blocks interleave the chain as W_0 and W_15 around the
     message words; the final padded block (`is_last`) moves both chain

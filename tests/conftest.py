@@ -9,6 +9,13 @@ from hfhash.core import default_params
 from hfhash.evaluator import compile_system
 from hfhash.system import load_default_system
 
+from engines import disable_native
+
+
+def pytest_report_header(config):
+    """Which engine the run tests: the loader's note on the native build."""
+    return f"hfhash native _pmap: {evaluator._load_pmap()[1]}"
+
 
 @pytest.fixture(scope="session")
 def system():
@@ -32,7 +39,7 @@ def engine_params(request, params, system, monkeypatch):
     closure the evaluator falls back to when the native build fails."""
     if request.param == "native":
         return params
-    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+    disable_native(monkeypatch)
     python = replace(params, system=evaluator.compile_system(system))
     assert isinstance(python.system.eval_word, types.FunctionType)
     return python

@@ -243,6 +243,17 @@ def test_diffusion_rounds_rule_matches_params():
         diffusion(rounds=48).per_position_weights
 
 
+def test_numpy_round_counts_become_plain_ints(params, report):
+    # the one rounds check hands back an int, so every report serializes
+    numpy_params = HfParams(system=params.system, rounds=np.int64(64))
+    assert type(numpy_params.rounds) is int
+    numpy_report = avalanche(DEFAULT_AVALANCHE_INPUT, numpy_params)
+    assert json.dumps(numpy_report.to_dict()) == json.dumps(report.to_dict())
+    numpy_diffusion = diffusion(rounds=np.int64(48))
+    assert type(numpy_diffusion.rounds) is int
+    assert json.dumps(numpy_diffusion.to_dict()) == json.dumps(diffusion(rounds=48).to_dict())
+
+
 def test_diffusion_matches_two_full_expansions():
     # spot check the linear shortcut against two real expansions with
     # random chains and message content

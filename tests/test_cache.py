@@ -8,7 +8,6 @@ own cache and then pointing the cache at a directory of the test's.
 import copy
 import hashlib
 import logging
-import os
 import pickle
 import random
 import re
@@ -19,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
-import hfhash
 from hfhash import _cache, evaluator, system as system_mod
 from hfhash.evaluator import TermSumEvaluator, compile_system
 from hfhash.system import ASSET_ENV_VAR, load_default_system, load_system
+
+from engines import child_env, disable_native, native_pmap
 
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
 # as in test_evaluate: zero, all ones and every single bit
@@ -38,19 +38,10 @@ cli.main(["sum"])
 """
 
 
-def _env(**extra):
-    src = str(Path(hfhash.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop(ASSET_ENV_VAR, None)
-    env.update(extra)
-    return env
-
-
 def _sum(cache_dir, **env):
     """`hfhash sum` of b"a" in a fresh interpreter using `cache_dir`."""
     return subprocess.run([sys.executable, "-c", CHILD, str(cache_dir)], input=b"a",
-                          capture_output=True, env=_env(**env), timeout=300)
+                          capture_output=True, env=child_env(**env), timeout=300)
 
 
 def _assert_anchor(result):
@@ -223,18 +214,16 @@ def test_unwritable_cache_logs_why_and_still_loads(system, tmp_path, monkeypatch
 
 
 def test_each_evaluator_keeps_its_own_tables_entry(system, cache, builds, monkeypatch):
-    module, how = evaluator._load_pmap()
-    if module is None:
-        pytest.skip(f"no native evaluator here: {how}")
+    module = native_pmap()
     compile_system(system)
     with monkeypatch.context() as m:
-        m.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+        disable_native(m)
         compile_system(system)
     assert builds == [module.CHUNK_WIDTHS, evaluator._BYTE_WIDTHS]
     builds.clear()
     compile_system(system)
     with monkeypatch.context() as m:
-        m.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+        disable_native(m)
         compile_system(system)
     assert builds == []
     assert sorted(name.split("-")[0] for name in _entries(cache)) == ["tables", "tables"]
@@ -380,7 +369,7 @@ def test_two_starts_racing_on_an_empty_cache(tmp_path):
     cache = tmp_path / "__pycache__"
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(cache)],
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, env=_env())
+                              stderr=subprocess.PIPE, env=child_env())
              for _ in range(2)]
     for proc in procs:
         out, err = proc.communicate(b"a", timeout=300)

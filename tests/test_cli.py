@@ -12,12 +12,12 @@ from typing import NamedTuple
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import hfhash
-
 from hfhash import _cache, cli, core, system
 from hfhash.analysis import DEFAULT_AVALANCHE_INPUT, MAX_BENCH_SIZE
 from hfhash.cli import main
 from hfhash.system import ASSET_ENV_VAR, MAX_ASSET_CHARS
+
+from engines import child_env
 
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
 ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
@@ -437,10 +437,9 @@ def test_closed_pipe_exits_without_traceback(tmp_path, copies):
     # line then meets a closed pipe: exit 1, and nothing on stderr
     payload = tmp_path / "payload.bin"
     payload.write_bytes(bytes(range(256)) * 800)
-    src = str(Path(hfhash.__file__).resolve().parents[1])
     proc = subprocess.Popen([sys.executable, "-m", "hfhash.cli", "sum", *[str(payload)] * copies],
                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+                            stderr=subprocess.PIPE, env=child_env())
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     stderr = proc.stderr.read()
@@ -449,11 +448,9 @@ def test_closed_pipe_exits_without_traceback(tmp_path, copies):
 
 
 def _run(args, **kwargs):
-    src = str(Path(hfhash.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-m", "hfhash.cli", *args],
                           capture_output=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
-                          **kwargs)
+                          env=child_env(PYTHONIOENCODING="utf-8:strict"), **kwargs)
 
 
 def test_sum_prints_a_name_that_is_not_utf8_as_its_bytes(tmp_path):

@@ -11,16 +11,14 @@ loaded already.
 """
 
 import hashlib
-import os
-import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hfhash
 from hfhash import evaluator
+
+from engines import child_env, need_compiler
 
 ABC_DIGEST = "8c6ad071cd652948bb20a1b054e603aa1bb0f6cefb72ed7ec3f60bc86c6e81b7"
 A_DIGEST = "36549d60a18cdfeed29aa3fee4953dd333133a41b2ac960b28ad5ec154374c8d"
@@ -79,11 +77,8 @@ NO_CLICK_OUTPUT_SHA256 = "000cbfbc5850331d613a9eb1b84df53997fa400f7d08d55a58ab92
 
 
 def _run(script, *args):
-    src = str(Path(hfhash.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", script, *args],
-                            input=b"a", capture_output=True, env=env, timeout=300)
+                            input=b"a", capture_output=True, env=child_env(), timeout=300)
     assert result.returncode == 0, result.stderr.decode()
     return result.stdout.decode().splitlines()
 
@@ -95,9 +90,7 @@ def _run_child(engine, *commands):
 @pytest.fixture(params=sorted(EVAL_WORD_TYPE))
 def engine(request):
     if request.param == "native":
-        if shutil.which(evaluator._COMPILER) is None:
-            pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
-                        "the Python closure is the only evaluator here")
+        need_compiler()
         # the child's start is warm: the build is in the package's cache,
         # whatever cache this process's loader used first
         module, how = evaluator._load_pmap.__wrapped__()

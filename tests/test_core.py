@@ -1,5 +1,4 @@
 import random
-import shutil
 import struct
 from dataclasses import replace
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hfhash import core, evaluator
+from hfhash import core
 from hfhash.core import (
     BLOCK_BYTES,
     CANONICAL_LAYOUT,
@@ -27,6 +26,8 @@ from hfhash.core import (
     parse_blocks,
     self_test,
 )
+
+from engines import disable_native, native_pmap
 
 # regression pins: this implementation's output under the canonical layout.
 # These are NOT the published reference digests; no candidate layout
@@ -107,6 +108,13 @@ def test_pad_bit_position_follows_layout():
 def test_length_field_round_trips(layout, size):
     padded = pad(bytes(size), layout)
     assert decode_length_field(padded[-8:], layout) == 8 * size
+
+
+def test_length_field_is_8_bytes():
+    for size in (0, 4, 7, 9, 16):
+        for layout in (CANONICAL_LAYOUT, LayoutConfig(length_endian="big")):
+            with pytest.raises(ValueError, match=f"exactly 8 bytes, got {size}"):
+                decode_length_field(bytes(size), layout)
 
 
 def test_length_encodings_differ():
@@ -278,28 +286,14 @@ def test_rotating_every_input_word_rotates_the_schedule(is_last):
         assert rotated == [rotl32(x, p) for x in w]
 
 
-def _native_schedule():
-    """`_pmap.schedule`, or a skip where nothing can be built."""
-    if shutil.which(evaluator._COMPILER) is None:
-        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
-                    "core._schedule is the only schedule here")
-    module, how = evaluator._load_pmap()
-    assert module is not None, how
-    return module.schedule
-
-
-def _disable_native(monkeypatch):
-    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
-
-
 @pytest.fixture(params=["native", "python"])
 def schedule_engine(request, monkeypatch):
     """`expand` runs on `_pmap.schedule`, or on `core._schedule` with the
     extension disabled."""
     if request.param == "native":
-        _native_schedule()
+        native_pmap()
     else:
-        _disable_native(monkeypatch)
+        disable_native(monkeypatch)
     return request.param
 
 
@@ -315,11 +309,12 @@ def test_out_of_range_words_overflow_on_both_engines(schedule_engine, word):
 def test_block_needs_14_words(monkeypatch):
     # a 13-word block would fail inside the Python spec with IndexError,
     # a 15-word one would yield 65 words, and a chain of other than 8
-    # words has no h7 or an ignored tail, so both engines check both counts
+    # words has no h7 or an ignored tail, so `expand` checks both counts on
+    # either engine
     zero = HfParams(system=ZeroSystem())
     for disabled in (False, True):
         if disabled:
-            _disable_native(monkeypatch)
+            disable_native(monkeypatch)
         for is_last in (False, True):
             for n in (0, 13, 15, 16):
                 with pytest.raises(ValueError, match=f"exactly 14 words, got {n}"):
@@ -348,15 +343,25 @@ def _raised(call, *args):
 @given(st.tuples(*[words32] * 14), st.tuples(*[words32] * 8), st.booleans(),
        st.integers(0, 13), st.sampled_from([1.0, "1", None, b"\0"]), outside32)
 def test_native_schedule_matches_python(words, chain, is_last, at, not_int, outside):
-    schedule = _native_schedule()
+    schedule = native_pmap().schedule
     want = core._schedule(words, chain, is_last)
     ints = schedule_words(want)
     h0, h7 = chain[0], chain[7]
     assert len(ints) == 64
     assert ints[:16] == ([h0, h7, *words] if is_last else [h0, *words, h7])
     assert schedule(words, chain, is_last) == want
-    assert schedule(list(words), list(chain), is_last) == want
-    # either engine raises the same error with the same message
+    # the native schedule declines what is not two tuples of in-range
+    # ints and a bool, and `expand` gives the spec's bytes for it
+    other_forms = [
+        (list(words), list(chain), is_last),
+        (tuple(map(np.uint32, words)), chain, is_last),
+        (words, tuple(map(np.int64, chain)), is_last),
+        (words, chain, int(is_last)),
+    ]
+    for args in other_forms:
+        assert schedule(*args) is None
+        assert expand(*args) == want
+    # `expand` raises what the spec raises, with the same message
     def put(seq, i, x):
         return seq[:i] + (x,) + seq[i + 1:]
 
@@ -368,7 +373,8 @@ def test_native_schedule_matches_python(words, chain, is_last, at, not_int, outs
         (put(words, at, outside), chain), (words, put(chain, 7 * (at % 2), outside)),
     ]
     for args in bad:
-        got = _raised(schedule, *args, is_last)
+        assert schedule(*args, is_last) is None
+        got = _raised(expand, *args, is_last)
         assert got == _raised(core._schedule, *args, is_last)
         if got[0] is OverflowError:
             assert got[1] == f"schedule word {outside!r} outside [0, 2**32)"
@@ -380,9 +386,9 @@ def test_native_schedule_matches_python(words, chain, is_last, at, not_int, outs
 def test_expand_is_the_256_bytes_of_the_native_words(engine, words, chain, is_last):
     with pytest.MonkeyPatch.context() as m:
         if engine == "native":
-            _native_schedule()
+            native_pmap()
         else:
-            _disable_native(m)
+            disable_native(m)
         w = expand(words, chain, is_last)
     assert type(w) is bytes and len(w) == 256
     assert w == core._schedule(words, chain, is_last)
@@ -398,10 +404,10 @@ def test_expand_is_the_256_bytes_of_the_native_words(engine, words, chain, is_la
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(*[words32] * 14), st.tuples(*[words32] * 8), st.booleans())
 def test_expand_is_the_same_with_the_extension_disabled(words, chain, is_last):
-    _native_schedule()
+    native_pmap()
     native = expand(words, chain, is_last)
     with pytest.MonkeyPatch.context() as m:
-        _disable_native(m)
+        disable_native(m)
         assert expand(words, chain, is_last) == native
 
 

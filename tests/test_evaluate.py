@@ -1,7 +1,6 @@
 import hashlib
 import logging
 import random
-import shutil
 import subprocess
 import sys
 import threading
@@ -25,6 +24,8 @@ from hfhash.evaluator import (
     eval_batch_bitsliced,
 )
 from hfhash.system import PolynomialSystem, load_system
+
+from engines import disable_native, native_pmap, need_compiler
 
 inputs = st.integers(0, 2**64 - 1)
 EDGE_INPUTS = [0, 2**64 - 1] + [1 << i for i in range(64)]
@@ -100,7 +101,7 @@ def _edge_system():
 def test_every_evaluator_agrees_on_an_edge_system(monkeypatch):
     system = _edge_system()
     native = compile_system(system)
-    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+    disable_native(monkeypatch)
     fallback = compile_system(system)
     assert isinstance(fallback.eval_word, types.FunctionType)
     term_sum = TermSumEvaluator(system)
@@ -214,9 +215,7 @@ def _closure(compiled):
 
 
 def test_default_params_use_native_eval_word():
-    if shutil.which(evaluator._COMPILER) is None:
-        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: "
-                    "the Python closure is the production evaluator here")
+    need_compiler()
     ev = default_params().system.eval_word
     assert isinstance(ev, types.BuiltinMethodType)
     assert type(ev.__self__).__name__ == "Evaluator"
@@ -237,9 +236,7 @@ def test_native_matches_closure_and_term_sum_on_edges(system, compiled):
 def test_native_matches_closure_and_term_sum_on_table_corners(system, compiled):
     # each chunk all ones, then each pair of chunks all ones, every other
     # bit zero: a pair input indexes the last word of its pair's table
-    _need_compiler()
-    module, how = evaluator._load_pmap()
-    assert module is not None, how
+    module = native_pmap()
     ends = list(accumulate(module.CHUNK_WIDTHS))
     ones = [((1 << w) - 1) << (64 - end) for w, end in zip(module.CHUNK_WIDTHS, ends)]
     corners = ones + [a | b for a, b in combinations(ones, 2)]
@@ -250,7 +247,7 @@ def test_native_matches_closure_and_term_sum_on_table_corners(system, compiled):
 
 
 def test_native_reads_any_int_below_2_64(compiled):
-    _need_compiler()
+    need_compiler()
     assert isinstance(compiled.eval_word, types.BuiltinMethodType)
     for x in (2**63, 2**64 - 1, True):
         assert compiled.eval_word(x) == _closure(compiled)(x)
@@ -267,11 +264,6 @@ def test_out_of_range_input_overflows_on_both_paths(system, compiled, x):
             ev(x)
 
 
-def _need_compiler():
-    if shutil.which(evaluator._COMPILER) is None:
-        pytest.skip(f"no C compiler ({evaluator._COMPILER}) on PATH: nothing is built")
-
-
 NATIVE_TABLE_BYTES = 778_240   # 55 chunk-pair tables: 45 of 6x6 bits, 10 of 6x4
 BYTE_TABLE_BYTES = 28 * 256 * 256 * 4
 
@@ -284,9 +276,7 @@ BYTE_TABLE_BYTES = 28 * 256 * 256 * 4
     (np.uint64, NATIVE_TABLE_BYTES // 8),
 ], ids=["short", "long", "float32", "float64", "uint64"])
 def test_native_evaluator_rejects_a_wrong_buffer(dtype, count):
-    _need_compiler()
-    module, how = evaluator._load_pmap()
-    assert module is not None, how
+    module = native_pmap()
     with pytest.raises(ValueError, match="uint32"):
         module.Evaluator(np.zeros(count, dtype=dtype))
 
@@ -308,9 +298,7 @@ def built_widths(monkeypatch, tmp_path):
 
 
 def test_native_tables_stay_small(system, built_widths):
-    _need_compiler()
-    module, how = evaluator._load_pmap()
-    assert module is not None, how
+    module = native_pmap()
     native = compile_system(system)
     assert native._tables.nbytes == NATIVE_TABLE_BYTES
     # the byte-pair tables are the fallback's alone
@@ -318,7 +306,7 @@ def test_native_tables_stay_small(system, built_widths):
 
 
 def test_only_the_fallback_builds_byte_pair_tables(system, monkeypatch, built_widths):
-    monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+    disable_native(monkeypatch)
     fallback = compile_system(system)
     assert built_widths == [(8,) * 8]
     assert fallback._tables.nbytes == BYTE_TABLE_BYTES
@@ -347,9 +335,7 @@ def _table_sha256(tables):
 ], ids=["byte-pairs", "native", "byte-pairs-cached", "native-cached"])
 def test_table_bytes_are_pinned(system, layout, cached, tmp_path, monkeypatch):
     if layout == "native":
-        _need_compiler()
-        module, how = evaluator._load_pmap()
-        assert module is not None, how
+        module = native_pmap()
         widths = module.CHUNK_WIDTHS
     else:
         widths = evaluator._BYTE_WIDTHS
@@ -360,7 +346,7 @@ def test_table_bytes_are_pinned(system, layout, cached, tmp_path, monkeypatch):
         return
     # the production buffer, built and stored on a miss, then read back
     if layout == "byte-pairs":
-        monkeypatch.setattr(evaluator, "_load_pmap", lambda: (None, "disabled by test"))
+        disable_native(monkeypatch)
     monkeypatch.setattr(_cache, "DIR", tmp_path / "__pycache__")
     for path in ("miss", "hit"):
         tables = default_params.__wrapped__().system._tables
@@ -371,7 +357,7 @@ def test_table_bytes_are_pinned(system, layout, cached, tmp_path, monkeypatch):
 def test_native_source_compiles_without_warnings(tmp_path, monkeypatch):
     # the production build, so that warnings only the optimizer raises
     # (on unrolled code, say) are seen too
-    _need_compiler()
+    need_compiler()
     monkeypatch.setattr(evaluator, "_CFLAGS",
                         evaluator._CFLAGS + ("-Wall", "-Wextra", "-Werror"))
     target = tmp_path / "_pmap.so"
@@ -413,7 +399,7 @@ def test_native_build_failure_falls_back_to_closure(
 
 
 def test_new_build_prunes_stale_builds(tmp_path, monkeypatch, fresh_loader):
-    _need_compiler()
+    need_compiler()
     suffix = evaluator.EXTENSION_SUFFIXES[0]
     cache = tmp_path / "__pycache__"
     cache.mkdir()
@@ -461,7 +447,7 @@ class _SpyLock:
 
 def test_two_threads_building_at_once_both_load_the_module(
         tmp_path, monkeypatch, fresh_loader):
-    _need_compiler()
+    need_compiler()
     cache = tmp_path / "__pycache__"
     monkeypatch.setattr(_cache, "DIR", cache)
     # The first build is held open, its output written, until the second
